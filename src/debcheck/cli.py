@@ -32,16 +32,8 @@ from .weather import summarize
 @dataclass
 class Timings:
     parse: float = 0.0
-    encode: float = 0.0
+    expand: float = 0.0  # version and virtual expansion plus repository build
     solve: float = 0.0
-
-
-@dataclass
-class RunReport:
-    total_packages: int
-    non_installable: int
-    results: list[tuple[PackageId, CheckResult]]
-    timings: Timings
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -90,7 +82,7 @@ def _load_repository(
         print(f"debcheck: warning: skipped stanza at {error}", file=err)
     t0 = time.monotonic()
     repo = build_repository(expand(parsed.stanzas))
-    timings.encode = time.monotonic() - t0
+    timings.expand = time.monotonic() - t0
     return repo, parsed, timings
 
 
@@ -148,7 +140,7 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
         f"  {real_total} packages",
         file=err,
     )
-    print(f"Generating constraints... {timings.encode:.1f} seconds", file=err)
+    print(f"Generating constraints... {timings.expand:.1f} seconds", file=err)
 
     selection, selectors_ok = _select_packages(repo, args.check, err)
     if not selectors_ok:
@@ -169,18 +161,12 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
 
     ordered = [(pid, results[pid]) for pid in sorted(results, key=package_sort_key)]
     summary = summarize(results)
-    report = RunReport(
-        total_packages=summary.total,
-        non_installable=summary.broken,
-        results=ordered,
-        timings=timings,
-    )
 
     if args.format == "json":
         document = {
             "architecture": args.architecture,
-            "total_packages": report.total_packages,
-            "non_installable": report.non_installable,
+            "total_packages": summary.total,
+            "non_installable": summary.broken,
             "fraction": round(summary.fraction, 6),
             "weather": summary.category.value,
             "results": [
@@ -205,13 +191,13 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
                 for line in result.explanation.render_lines():
                     print(f"  {line}", file=out)
         print(
-            f"{report.total_packages} packages, "
-            f"{report.non_installable} not installable"
+            f"{summary.total} packages, "
+            f"{summary.broken} not installable"
             f" ({summary.category.value})",
             file=out,
         )
 
-    return 0 if report.non_installable == 0 else 1
+    return 0 if summary.broken == 0 else 1
 
 
 def _conflicts_parser() -> argparse.ArgumentParser:
@@ -293,6 +279,32 @@ def _aggregate_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_report(path: str) -> tuple[str | None, list[tuple[str, bool]]]:
+    """The architecture and the (package, installable) entries of a report.
+
+    Raises OSError or ValueError when the file cannot be read or does not
+    have the shape of a `--format=json` report.
+    """
+    with open(path) as f:
+        document = json.load(f)
+    if not isinstance(document, dict):
+        raise ValueError("not a JSON object")
+    architecture = document.get("architecture")
+    results = document.get("results", [])
+    if not isinstance(architecture, (str, type(None))) or not isinstance(results, list):
+        raise ValueError("malformed architecture or results")
+    entries = []
+    for i, entry in enumerate(results, 1):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("package"), str)
+            and isinstance(entry.get("installable"), bool)
+        ):
+            raise ValueError(f"result {i} lacks a package name or verdict")
+        entries.append((entry["package"], entry["installable"]))
+    return architecture, entries
+
+
 def run_aggregate(argv: list[str], out: IO, err: IO) -> int:
     """Cross-architecture summary.
 
@@ -305,24 +317,22 @@ def run_aggregate(argv: list[str], out: IO, err: IO) -> int:
     reports = []
     for path in args.reports:
         try:
-            with open(path) as f:
-                reports.append((path, json.load(f)))
-        except (OSError, json.JSONDecodeError) as exc:
+            reports.append(_read_report(path))
+        except (OSError, ValueError) as exc:
             print(f"debcheck: cannot read report {path}: {exc}", file=err)
             return 2
 
     present: dict[str, set[str]] = {}
     broken: dict[str, set[str]] = {}
     labels = []
-    for i, (path, document) in enumerate(reports):
-        label = document.get("architecture") or f"report{i + 1}"
+    for i, (architecture, entries) in enumerate(reports):
+        label = architecture or f"report{i + 1}"
         labels.append(label)
         present[label] = set()
         broken[label] = set()
-        for entry in document.get("results", []):
-            name = entry["package"]
+        for name, installable in entries:
             present[label].add(name)
-            if not entry["installable"]:
+            if not installable:
                 broken[label].add(name)
 
     all_names = set().union(*present.values()) if present else set()

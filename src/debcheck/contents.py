@@ -145,7 +145,7 @@ def classify_pairs(
                 (candidate.pair, f"package {missing!r} not in the repository")
             )
             continue
-        if not checker.query([pid_a, pid_b]).installable:
+        if not checker.query([pid_a, pid_b], explain=False).installable:
             status = CandidateStatus.NOT_COINSTALLABLE
         elif b in replaces.get((pid_a.name, pid_a.version), frozenset()) or a in replaces.get(
             (pid_b.name, pid_b.version), frozenset()

@@ -7,16 +7,16 @@ requested package.  Every base clause contains a negative literal, so the
 empty installation always satisfies the base formula; a query is
 satisfiable iff the requested packages are co-installable.
 
-The embedded solver is a conflict-driven clause-learning search with
-counter-based clause state and occurrence lists.  Decisions are demand
-driven: the only clauses that can block extending the current partial
-assignment with "everything else stays uninstalled" are clauses whose
-unassigned literals are all positive, so those are queued and decided
-on directly, and the search can stop as soon as none remain.  Learned
-clauses record which clauses they were resolved from, which yields an
-unsatisfiable core (and from it an explanation) without a separate
-proof pass.  Everything iterates in fixed orders, so verdicts,
-witnesses, and explanations are reproducible run to run.
+The embedded solver is a conflict-driven clause-learning search over
+occurrence lists.  Learned clauses are implied by the base formula, so
+they too hold a negative literal, and a partial assignment extends with
+"everything else stays uninstalled" unless some clause has no true
+literal, only true variables under its negative literals, and an
+unassigned positive literal.  The search decides such clauses until none
+remain.  Learned clauses record which clauses they were resolved from,
+which yields an unsatisfiable core (and from it an explanation) without
+a separate proof pass.  Everything iterates in fixed orders, so
+verdicts, witnesses, and explanations are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -140,6 +140,12 @@ class _Engine:
     clauses are implied by the base formula alone.  Learned clauses that
     assert a fact at level 0 are therefore kept between queries; all
     other learned clauses are discarded when the query ends.
+
+    Each clause keeps one counter, its number of true literals; unit and
+    conflict tests count its unassigned literals on the spot.  A clause
+    blocking completion (see the module docstring) lies among the negative
+    occurrences of a true variable, so decisions walk the true variables
+    on the trail from `scan`.
     """
 
     def __init__(self, clause_set: ClauseSet):
@@ -157,10 +163,7 @@ class _Engine:
         self.occ_pos: list[list[int]] = [[] for _ in range(self.nvars + 1)]
         self.occ_neg: list[list[int]] = [[] for _ in range(self.nvars + 1)]
         self.n_true = [0] * self.base_count
-        self.n_false = [0] * self.base_count
         self.pending: deque[int] = deque()
-        self.demand: deque[int] = deque()
-        self.in_demand = [False] * self.base_count
         # learned-clause derivations, flattened to base clause ids and the
         # level-0 variables resolved away (their reason chains complete a core)
         self.flat_bases: dict[int, frozenset[int]] = {}
@@ -183,7 +186,8 @@ class _Engine:
         if conflict is not None:
             raise RuntimeError("base clause set is unsatisfiable; encoding bug")
         self.base_trail_len = len(self.trail)
-        self._drain_demand()
+        # trail position of the next true variable to search for blockers
+        self.scan = self.base_trail_len
 
     def never_installable_vars(self) -> list[int]:
         """Variables fixed false by the base formula alone."""
@@ -193,134 +197,114 @@ class _Engine:
 
     def _assign(self, lit: int, reason: int | None) -> int | None:
         """Make `lit` true; returns a conflicting clause id, if any."""
+        value = self.value
         if lit > 0:
             var = lit
             sat_occ = self.occ_pos[var]
             fal_occ = self.occ_neg[var]
-            self.value[var] = 1
+            value[var] = 1
         else:
             var = -lit
             sat_occ = self.occ_neg[var]
             fal_occ = self.occ_pos[var]
-            self.value[var] = -1
+            value[var] = -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         conflict = None
         n_true = self.n_true
-        n_false = self.n_false
         clauses = self.clauses
         for ci in sat_occ:
             n_true[ci] += 1
         pending = self.pending
-        demand = self.demand
-        in_demand = self.in_demand
         for ci in fal_occ:
-            n_false[ci] += 1
             if n_true[ci] == 0:
-                rem = len(clauses[ci]) - n_false[ci]
-                if rem == 0:
+                free = 0
+                for l in clauses[ci]:
+                    if value[l if l > 0 else -l] == 0:
+                        free += 1
+                        if free == 2:
+                            break
+                if free == 0:
                     if conflict is None:
                         conflict = ci
-                elif rem == 1:
+                elif free == 1:
                     pending.append(ci)
-                elif not in_demand[ci]:
-                    in_demand[ci] = True
-                    demand.append(ci)
         return conflict
 
     def _propagate(self) -> int | None:
         value = self.value
         pending = self.pending
         n_true = self.n_true
-        n_false = self.n_false
         clauses = self.clauses
         while pending:
             ci = pending.popleft()
             if n_true[ci] > 0:
                 continue
-            clause = clauses[ci]
-            rem = len(clause) - n_false[ci]
-            if rem == 0:
-                return ci
-            if rem != 1:
-                continue
-            unit = 0
-            for l in clause:
+            free = unit = 0
+            for l in clauses[ci]:
                 if value[l if l > 0 else -l] == 0:
+                    free += 1
+                    if free == 2:
+                        break
                     unit = l
-                    break
-            conflict = self._assign(unit, ci)
-            if conflict is not None:
-                return conflict
+            if free == 0:
+                return ci
+            if free == 1:
+                conflict = self._assign(unit, ci)
+                if conflict is not None:
+                    return conflict
         return None
 
-    def _push_demand(self, ci: int) -> None:
-        if not self.in_demand[ci]:
-            self.in_demand[ci] = True
-            self.demand.append(ci)
-
-    def _drain_demand(self) -> None:
-        while self.demand:
-            self.in_demand[self.demand.popleft()] = False
-
-    def _next_demand_lit(self) -> int | None:
-        """First positive literal of the first clause blocking completion.
-
-        A clause blocks extending the assignment with all-false only if it
-        has no true literal and no unassigned negative literal.
-        """
+    def _next_decision(self) -> int | None:
+        """First unassigned positive literal of the first clause blocking
+        completion, or None when "everything else false" is a model."""
         value = self.value
-        while self.demand:
-            ci = self.demand.popleft()
-            self.in_demand[ci] = False
-            clause = self.clauses[ci]
-            if clause is None or self.n_true[ci] > 0:
-                continue
-            unassigned = [l for l in clause if value[abs(l)] == 0]
-            if not unassigned or any(l < 0 for l in unassigned):
-                continue
-            return unassigned[0]
+        n_true = self.n_true
+        clauses = self.clauses
+        occ_neg = self.occ_neg
+        trail = self.trail
+        while self.scan < len(trail):
+            var = trail[self.scan]
+            if var > 0:
+                for ci in occ_neg[var]:
+                    if n_true[ci]:
+                        continue
+                    first = 0
+                    for l in clauses[ci]:
+                        if value[l if l > 0 else -l] == 0:
+                            if l < 0:
+                                first = 0
+                                break
+                            if not first:
+                                first = l
+                    if first:
+                        return first
+            self.scan += 1
         return None
 
-    def _backtrack(self, target: int, teardown: bool = False) -> None:
+    def _backtrack(self, target: int) -> None:
         """Unassign everything above `target`.
 
-        During search the clauses losing their last true literal must be
-        re-queued as completion blockers; on end-of-query teardown that
-        bookkeeping is skipped (level 0 has no blockers).
+        The blocker scan restarts after the base prefix: a variable that
+        stays true may have lost the literal that satisfied its clause.
         """
         value = self.value
         reason = self.reason
         n_true = self.n_true
-        n_false = self.n_false
         occ_pos = self.occ_pos
         occ_neg = self.occ_neg
         while len(self.trail_lim) > target:
             mark = self.trail_lim.pop()
-            for lit in reversed(self.trail[mark:]):
-                if lit > 0:
-                    var = lit
-                    sat_occ = occ_pos[var]
-                    fal_occ = occ_neg[var]
-                else:
-                    var = -lit
-                    sat_occ = occ_neg[var]
-                    fal_occ = occ_pos[var]
+            for lit in self.trail[mark:]:
+                var = lit if lit > 0 else -lit
                 value[var] = 0
                 reason[var] = None
-                if teardown:
-                    for ci in sat_occ:
-                        n_true[ci] -= 1
-                else:
-                    for ci in sat_occ:
-                        n_true[ci] -= 1
-                        if n_true[ci] == 0:
-                            self._push_demand(ci)
-                for ci in fal_occ:
-                    n_false[ci] -= 1
+                for ci in occ_pos[var] if lit > 0 else occ_neg[var]:
+                    n_true[ci] -= 1
             del self.trail[mark:]
         self.pending.clear()
+        self.scan = self.base_trail_len
 
     # -- learning --------------------------------------------------------
 
@@ -387,8 +371,6 @@ class _Engine:
         ci = len(self.clauses)
         self.clauses.append(tuple(lits))
         self.n_true.append(sum(1 for l in lits if self.value[abs(l)] == (1 if l > 0 else -1)))
-        self.n_false.append(sum(1 for l in lits if self.value[abs(l)] == (-1 if l > 0 else 1)))
-        self.in_demand.append(False)
         for lit in lits:
             if lit > 0:
                 self.occ_pos[lit].append(ci)
@@ -398,18 +380,14 @@ class _Engine:
         self.flat_zeros[ci] = frozenset(zeros)
         return ci
 
-    def _cleanup(self, keep_from_level0: bool) -> None:
+    def _cleanup(self) -> None:
         """Retract per-query state; keep learned clauses asserted at level 0."""
-        self._backtrack(0, teardown=True)
-        self._drain_demand()
+        self._backtrack(0)
         for ci in range(self.base_count, len(self.clauses)):
             clause = self.clauses[ci]
             if clause is None:
                 continue
-            retained = keep_from_level0 and any(
-                self.reason[abs(l)] == ci and self.level[abs(l)] == 0 for l in clause
-            )
-            if retained:
+            if any(self.reason[abs(l)] == ci and self.level[abs(l)] == 0 for l in clause):
                 continue
             for lit in clause:
                 if lit > 0:
@@ -455,7 +433,7 @@ class _Engine:
                         if conflict is not None:
                             self.pending.append(conflict)
                     continue
-                lit = self._next_demand_lit()
+                lit = self._next_decision()
                 if lit is None:
                     model = frozenset(l for l in self.trail if l > 0)
                     if __debug__ and self.nvars <= 2000:
@@ -466,7 +444,7 @@ class _Engine:
                 if conflict is not None:
                     self.pending.append(conflict)
         finally:
-            self._cleanup(keep_from_level0=True)
+            self._cleanup()
 
     def _verify_model(self) -> None:
         # A literal holds under "unassigned means false" if it is a true
@@ -601,8 +579,9 @@ def _render_chains(
 ) -> tuple[ExplanationChain, ...]:
     """Arrange proof edges into readable chains.
 
-    Depth-first from each queried package; every package's outgoing edges
-    are expanded once, so shared sub-reasons are not repeated.
+    Depth-first from each queried package, on an explicit stack so that
+    chains of any depth render; every package's outgoing edges are
+    expanded once, so shared sub-reasons are not repeated.
     """
     outgoing: dict[PackageId, list[DependencyEdge]] = {}
     for edge in dep_edges:
@@ -614,24 +593,30 @@ def _render_chains(
 
     chains: list[ExplanationChain] = []
     expanded: set[PackageId] = set()
-
-    def walk(pid: PackageId, path: list[DependencyEdge]) -> None:
+    # (package to walk, path so far); a None package emits the path itself,
+    # a dependency with no members
+    stack: list[tuple[PackageId | None, tuple[DependencyEdge, ...]]] = [
+        (pid, ()) for pid in reversed(queried)
+    ]
+    while stack:
+        pid, path = stack.pop()
+        if pid is None:
+            chains.append(ExplanationChain(path))
+            continue
         edges = outgoing.get(pid, ())
         if pid in expanded or not edges:
             if path or pid in in_conflict:
-                chains.append(ExplanationChain(tuple(path), in_conflict.get(pid)))
-            return
+                chains.append(ExplanationChain(path, in_conflict.get(pid)))
+            continue
         expanded.add(pid)
+        todo: list[tuple[PackageId | None, tuple[DependencyEdge, ...]]] = []
         for edge in edges:
-            new_path = path + [edge]
+            new_path = path + (edge,)
             if not edge.clause.members:
-                chains.append(ExplanationChain(tuple(new_path)))
-                continue
-            for member in edge.clause.sorted_members():
-                walk(member, new_path)
-
-    for pid in queried:
-        walk(pid, [])
+                todo.append((None, new_path))
+            else:
+                todo.extend((member, new_path) for member in edge.clause.sorted_members())
+        stack.extend(reversed(todo))
     return tuple(chains)
 
 

@@ -151,6 +151,10 @@ class _RefScanner:
 
     def read_ref(self) -> ConstrainedRef:
         name = self.read_name()
+        # "any" and "native" architecture qualifiers name the package itself
+        base, sep, qualifier = name.rpartition(":")
+        if sep and qualifier in ("any", "native"):
+            name = base
         if self.peek() != "(":
             return ConstrainedRef(name)
         self.take()

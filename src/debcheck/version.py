@@ -25,9 +25,12 @@ class VersionOrdering(enum.Enum):
 
 
 def _char_order(c: str) -> int:
-    # '~' sorts before end-of-string (order 0); letters before punctuation.
+    # '~' sorts before end-of-string and digits (both order 0, as in
+    # dpkg); letters before punctuation.
     if c == "~":
         return -1
+    if c.isdigit():
+        return 0
     if c.isalpha():
         return ord(c)
     return ord(c) + 256

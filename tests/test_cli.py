@@ -144,6 +144,30 @@ class TestCheckCommand:
         outputs = {run(["--format", "json", path], capsys)[1] for _ in range(3)}
         assert len(outputs) == 1
 
+    def test_any_and_native_qualifiers_name_the_package(self, sample_file, capsys):
+        text = (
+            "Package: a\nVersion: 1\nDepends: b:any, b:native (>= 1)\n\n"
+            "Package: b\nVersion: 1\n"
+        )
+        code, out, _ = run([sample_file(text)], capsys)
+        assert code == 0
+        assert "2 packages, 0 not installable" in out
+
+    def test_explain_deep_chain(self, sample_file, capsys):
+        depth = 3000
+        text = "\n".join(
+            f"Package: p{i}\nVersion: 1\nDepends: {f'p{i + 1}' if i + 1 < depth else 'gone'}\n"
+            for i in range(depth)
+        )
+        code, out, err = run(["--explain", "--check", "p0", sample_file(text)], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        lines = out.splitlines()
+        assert lines[0] == "p0 (= 1): NOT INSTALLABLE"
+        assert lines[1:-1] == [
+            f"  p{i} (= 1) depends on p{i + 1} {{p{i + 1} (= 1)}}" for i in range(depth - 1)
+        ] + [f"  p{depth - 1} (= 1) depends on gone {{NOT AVAILABLE}}"]
+
     def test_virtual_packages_not_reported(self, sample_file, capsys):
         code, out, _ = run([sample_file(VIRTUAL_SAMPLE)], capsys)
         assert code == 0
@@ -221,5 +245,12 @@ class TestAggregateCommand:
 
     def test_missing_report_exits_two(self, tmp_path, capsys):
         code, _, err = run(["aggregate", str(tmp_path / "nope.json")], capsys)
+        assert code == 2
+        assert "cannot read report" in err
+
+    def test_malformed_report_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"results": [{"version": "1", "installable": False}]}))
+        code, _, err = run(["aggregate", str(path)], capsys)
         assert code == 2
         assert "cannot read report" in err

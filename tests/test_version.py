@@ -20,6 +20,7 @@ FROZEN_CASES = [
     ("1.0~~", "1.0~", VersionOrdering.LT),
     ("1.0a", "1.0.1", VersionOrdering.LT),  # letters sort before punctuation
     ("2:1.0", "1:9.9", VersionOrdering.GT),
+    ("0-0", "0-a", VersionOrdering.LT),  # a digit ranks 0 against a letter
 ]
 
 
