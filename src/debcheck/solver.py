@@ -15,8 +15,11 @@ literal, only true variables under its negative literals, and an
 unassigned positive literal.  The search decides such clauses until none
 remain.  Learned clauses record which clauses they were resolved from,
 which yields an unsatisfiable core (and from it an explanation) without
-a separate proof pass.  Everything iterates in fixed orders, so
-verdicts, witnesses, and explanations are reproducible run to run.
+a separate proof pass.  A small explanation is shrunk on an engine of its
+own whose edges carry selector literals, so a trial drops an edge by
+leaving its selector out of the assumptions (Eén & Sörensson, SAT 2003).
+Everything iterates in fixed orders, so verdicts, witnesses, and
+explanations are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .expand import (
 )
 from .model import check_health
 
-#: Explanations touching at most this many packages get greedily shrunk.
+#: Explanations touching at most this many packages get greedily shrunk;
+#: each edge costs a solve, and a 3000-deep chain's core has 3000 edges.
 _SHRINK_LIMIT = 40
 
 #: Hard cap for the exhaustive checker.
@@ -148,11 +152,9 @@ class _Engine:
     on the trail from `scan`.
     """
 
-    def __init__(self, clause_set: ClauseSet):
-        self.nvars = len(clause_set.packages)
-        self.clauses: list[tuple[int, ...] | None] = [
-            tuple(dict.fromkeys(c)) for c in clause_set.clauses
-        ]
+    def __init__(self, nvars: int, clauses: tuple[tuple[int, ...], ...]):
+        self.nvars = nvars
+        self.clauses: list[tuple[int, ...] | None] = [tuple(dict.fromkeys(c)) for c in clauses]
         self.base_count = len(self.clauses)
         self.value = [0] * (self.nvars + 1)
         self.reason: list[int | None] = [None] * (self.nvars + 1)
@@ -620,37 +622,37 @@ def _render_chains(
     return tuple(chains)
 
 
-def _is_coinstallable_raw(repo: Repository, pids: list[PackageId]) -> bool:
-    """Plain SAT verdict without explanation extraction (used for shrinking)."""
-    cs = encode(repo)
-    engine = _Engine(cs)
-    sat, _ = engine.solve(sorted(cs.var_of(p) for p in pids))
-    return sat
-
-
 def _shrink_edges(
-    queried: tuple[PackageId, ...],
-    dep_edges: list[DependencyEdge],
-    conflict_edges: list[tuple[PackageId, PackageId]],
+    core: Explanation,
 ) -> tuple[list[DependencyEdge], list[tuple[PackageId, PackageId]]]:
-    """Greedily drop edges while the induced sub-repository stays unsatisfiable."""
+    """Greedily drop edges while the kept ones still rule the query out.
 
-    def still_unsat(
-        deps: list[DependencyEdge], confls: list[tuple[PackageId, PackageId]]
-    ) -> bool:
-        trial = Explanation(queried, tuple(deps), tuple(confls), ())
-        induced = trial.induced_repository()
-        return not _is_coinstallable_raw(induced, list(queried))
-
-    for edge in list(dep_edges):
-        candidate = [e for e in dep_edges if e is not edge]
-        if still_unsat(candidate, conflict_edges):
-            dep_edges = candidate
-    for pair in list(conflict_edges):
-        candidate_pairs = [p for p in conflict_edges if p is not pair]
-        if still_unsat(dep_edges, candidate_pairs):
-            conflict_edges = candidate_pairs
-    return dep_edges, conflict_edges
+    One engine decides every trial: with the explanation's packages as
+    variables 1..n, edge k is its clause plus the selector literal
+    -(n+1+k), and a trial assumes the selectors of the edges it keeps.
+    A package that no kept edge mentions occurs only negatively and can
+    stay uninstalled, so each verdict is that on `induced_repository`.
+    """
+    packages = sorted(core.mentioned_packages(), key=package_sort_key)
+    index = {pid: i + 1 for i, pid in enumerate(packages)}
+    n = len(packages)
+    edges = [(-index[e.package], *sorted(index[m] for m in e.clause.members))
+             for e in core.dep_edges]
+    edges += [(-index[a], -index[b]) for a, b in core.conflict_edges]
+    clauses = [(*lits, -(n + 1 + k)) for k, lits in enumerate(edges)]
+    # same-name versions conflict in every trial, as in the induced repository
+    clauses += [(-index[a], -index[b]) for a, b in combinations(packages, 2) if a.name == b.name]
+    engine = _Engine(n + len(edges), tuple(clauses))
+    query = sorted(index[p] for p in core.queried)
+    kept = set(range(len(edges)))
+    for k in range(len(edges)):
+        if not engine.solve(query + [n + 1 + j for j in sorted(kept - {k})])[0]:
+            kept.discard(k)
+    split = len(core.dep_edges)
+    return (
+        [e for k, e in enumerate(core.dep_edges) if k in kept],
+        [e for k, e in enumerate(core.conflict_edges, split) if k in kept],
+    )
 
 
 class RepositoryChecker:
@@ -659,7 +661,7 @@ class RepositoryChecker:
     def __init__(self, repo: Repository):
         self.repo = repo
         self.clause_set = encode(repo)
-        self._engine = _Engine(self.clause_set)
+        self._engine = _Engine(len(repo.packages), self.clause_set.clauses)
 
     def query(self, pids: list[PackageId], explain: bool = True) -> CheckResult:
         queried = tuple(sorted(set(pids), key=package_sort_key))
@@ -701,12 +703,9 @@ class RepositoryChecker:
             elif isinstance(origin, ConflictEdge):
                 conflict_edges.append(origin.pair)
 
-        mentioned = set(queried)
-        for edge in dep_edges:
-            mentioned.add(edge.package)
-            mentioned |= edge.clause.members
-        if len(mentioned) <= _SHRINK_LIMIT:
-            dep_edges, conflict_edges = _shrink_edges(queried, dep_edges, conflict_edges)
+        raw = Explanation(queried, tuple(dep_edges), tuple(conflict_edges), ())
+        if len(raw.mentioned_packages()) <= _SHRINK_LIMIT:
+            dep_edges, conflict_edges = _shrink_edges(raw)
 
         chains = _render_chains(queried, tuple(dep_edges), tuple(conflict_edges))
         return Explanation(

@@ -295,7 +295,8 @@ def _build_stanza(fields: list[tuple[str, str]], warnings: list[str]) -> Package
         raise StanzaParseAbort("missing Package field")
     if not version:
         raise StanzaParseAbort("missing Version field")
-    if any(c.isspace() or c == "," for c in package):
+    # a name that no relation field could spell
+    if any(c.isspace() or c in ",:|()" for c in package):
         raise StanzaParseAbort(f"invalid package name {package!r}")
     context = f"{package} {version}"
 

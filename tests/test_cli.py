@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debcheck.cli import main
 
@@ -155,18 +157,22 @@ class TestCheckCommand:
 
     def test_explain_deep_chain(self, sample_file, capsys):
         depth = 3000
-        text = "\n".join(
-            f"Package: p{i}\nVersion: 1\nDepends: {f'p{i + 1}' if i + 1 < depth else 'gone'}\n"
-            for i in range(depth)
-        )
-        code, out, err = run(["--explain", "--check", "p0", sample_file(text)], capsys)
-        assert code == 1
-        assert "Traceback" not in err
-        lines = out.splitlines()
-        assert lines[0] == "p0 (= 1): NOT INSTALLABLE"
-        assert lines[1:-1] == [
-            f"  p{i} (= 1) depends on p{i + 1} {{p{i + 1} (= 1)}}" for i in range(depth - 1)
-        ] + [f"  p{depth - 1} (= 1) depends on gone {{NOT AVAILABLE}}"]
+        chain = [f"p{i + 1}" for i in range(depth - 1)] + ["gone"]
+        # the same packages in a cycle back to p0, with one way out to nothing
+        cycle = [f"p{(i + 1) % depth}" for i in range(depth)]
+        cycle[1500] += ", gone"
+        for depends, end in ((chain, depth - 1), (cycle, 1500)):
+            text = "\n".join(
+                f"Package: p{i}\nVersion: 1\nDepends: {d}\n" for i, d in enumerate(depends)
+            )
+            code, out, err = run(["--explain", "--check", "p0", sample_file(text)], capsys)
+            assert code == 1
+            assert "Traceback" not in err
+            lines = out.splitlines()
+            assert lines[0] == "p0 (= 1): NOT INSTALLABLE"
+            assert lines[1:-1] == [
+                f"  p{i} (= 1) depends on p{i + 1} {{p{i + 1} (= 1)}}" for i in range(end)
+            ] + [f"  p{end} (= 1) depends on gone {{NOT AVAILABLE}}"]
 
     def test_virtual_packages_not_reported(self, sample_file, capsys):
         code, out, _ = run([sample_file(VIRTUAL_SAMPLE)], capsys)
@@ -254,3 +260,67 @@ class TestAggregateCommand:
         code, _, err = run(["aggregate", str(path)], capsys)
         assert code == 2
         assert "cannot read report" in err
+
+
+def _fragments(*parts):
+    """Bytes joined from arbitrary bytes and fragments of the format."""
+    piece = st.one_of(st.binary(max_size=8), st.sampled_from(parts))
+    return st.one_of(st.binary(max_size=300), st.lists(piece, max_size=60).map(b"".join))
+
+
+_PACKAGES = _fragments(
+    b"Package: ", b"Version: ", b"Depends: ", b"Pre-Depends: ", b"Conflicts: ",
+    b"Provides: ", b"Replaces: ", b"Architecture: ", b"a", b"b", b"c", b"1", b"2:1.0-1~",
+    b" ", b",", b" | ", b"(", b")", b">=", b"<<", b"=", b":any", b":", b"-", b"[", b"#",
+    b"\xff", b"\n", b"\n\n", b" .\n",
+)
+_CONTENTS = _fragments(b"FILE LOCATION\n", b"usr/bin/x", b"   ", b"\t", b"a", b"b", b"c",
+                       b"admin/", b"main/net/", b",", b"\n")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    | st.sampled_from(["a", "b", "i386"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["architecture", "results", "package", "version", "installable"])
+        | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _exits_cleanly(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert code in (0, 1, 2)
+
+
+class TestFuzz:
+    """Whatever the input, the CLI exits 0, 1 or 2 and raises nothing else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_PACKAGES, flags=st.sampled_from(
+        [[], ["--explain"], ["--explain", "--format=json"], ["--check", "a"]]))
+    def test_packages_bytes(self, tmp_path_factory, data, flags):
+        path = tmp_path_factory.getbasetemp() / "fuzz-Packages"
+        path.write_bytes(data)
+        _exits_cleanly([*flags, str(path)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(contents=_CONTENTS, packages=_PACKAGES)
+    def test_contents_bytes(self, tmp_path_factory, contents, packages):
+        base = tmp_path_factory.getbasetemp()
+        (base / "fuzz-Contents").write_bytes(contents)
+        (base / "fuzz-Packages").write_bytes(packages)
+        _exits_cleanly(["conflicts", "--contents", str(base / "fuzz-Contents"),
+                        "--packages", str(base / "fuzz-Packages")])
+
+    @settings(max_examples=150, deadline=None)
+    @given(documents=st.lists(_JSON, min_size=1, max_size=3))
+    def test_aggregate_json(self, tmp_path_factory, documents):
+        paths = []
+        for i, document in enumerate(documents):
+            path = tmp_path_factory.getbasetemp() / f"fuzz-report{i}.json"
+            path.write_text(json.dumps(document))
+            paths.append(str(path))
+        _exits_cleanly(["aggregate", *paths])

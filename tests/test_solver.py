@@ -9,11 +9,14 @@ from debcheck.expand import (
     build_repository,
     conflict_pair,
     expand,
+    package_sort_key,
 )
+from debcheck import solver
 from debcheck.model import check_health, generate_rn
 from debcheck.solver import (
     ConflictEdge,
     DependencyEdge,
+    Explanation,
     QueryAssumption,
     brute_force_check,
     check_all,
@@ -270,6 +273,65 @@ class TestExplanations:
         result = check_installable(repo, pid("q"))
         assert not result.installable
         assert conflict_pair(pid("a"), pid("b")) in result.explanation.conflict_edges
+
+
+def _greedy_shrink(queried, dep_edges, conflict_edges):
+    """The shrinking rule spelled out: drop each edge in turn, dependency
+    edges first, if the induced sub-repository of the rest stays broken."""
+
+    def broken(deps, confls):
+        induced = Explanation(queried, tuple(deps), tuple(confls), ()).induced_repository()
+        return not brute_force_check(induced, frozenset(queried))
+
+    for edge in list(dep_edges):
+        candidate = [e for e in dep_edges if e is not edge]
+        if broken(candidate, conflict_edges):
+            dep_edges = candidate
+    for pair in list(conflict_edges):
+        candidate = [p for p in conflict_edges if p is not pair]
+        if broken(dep_edges, candidate):
+            conflict_edges = candidate
+    return tuple(dep_edges), tuple(conflict_edges)
+
+
+class TestShrinking:
+    def test_shrunk_explanations_follow_the_greedy_rule(self, monkeypatch):
+        """Shrinking keeps exactly the edges the greedy rule keeps, and
+        every kept edge is needed."""
+        rng = random.Random(31)
+        explained = dropped = 0
+        for _ in range(300):
+            repo = random_repository(rng, max_packages=10)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_SHRINK_LIMIT", 0)
+                raw = {target: check_installable(repo, target) for target in repo.packages}
+            for target, unshrunk in raw.items():
+                if unshrunk.installable:
+                    continue
+                core = unshrunk.explanation
+                explanation = check_installable(repo, target).explanation
+                kept = (explanation.dep_edges, explanation.conflict_edges)
+                assert kept == _greedy_shrink(
+                    core.queried, list(core.dep_edges), list(core.conflict_edges)
+                )
+                explained += 1
+                dropped += kept != (core.dep_edges, core.conflict_edges)
+                # minimal: without any one kept edge the target installs
+                deps, confls = kept
+                for k in range(len(deps)):
+                    rest = Explanation(core.queried, deps[:k] + deps[k + 1:], confls, ())
+                    assert brute_force_check(rest.induced_repository(), frozenset({target}))
+                for k in range(len(confls)):
+                    rest = Explanation(core.queried, deps, confls[:k] + confls[k + 1:], ())
+                    assert brute_force_check(rest.induced_repository(), frozenset({target}))
+                # from every edge of the repository, where the order matters more
+                all_deps = [DependencyEdge(p, c) for p in repo.packages for c in repo.deps[p]]
+                all_pairs = sorted(repo.conflicts, key=lambda ab: [package_sort_key(p) for p in ab])
+                every = Explanation(core.queried, tuple(all_deps), tuple(all_pairs), ())
+                assert tuple(map(tuple, solver._shrink_edges(every))) == _greedy_shrink(
+                    every.queried, list(every.dep_edges), list(every.conflict_edges)
+                )
+        assert explained > 300 and dropped > 50  # the cores must actually shrink
 
 
 class TestDeterminism:

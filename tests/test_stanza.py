@@ -140,6 +140,16 @@ class TestParsePackages:
         assert len(result.errors) == 1
         assert result.errors[0].line == 4
 
+    @pytest.mark.parametrize("name", ["a:any", "a|b", "a(1)", "a)"])
+    def test_name_no_relation_can_spell_is_rejected(self, name):
+        result = parse_packages(
+            f"Package: {name}\nVersion: 1\n\nPackage: b\nVersion: 1\nDepends: a:any\n"
+        )
+        assert [s.name for s in result.stanzas] == ["b"]
+        assert len(result.errors) == 1
+        assert result.errors[0].line == 1
+        assert "invalid package name" in result.errors[0].message
+
     def test_pre_depends_folds_into_depends(self):
         result = parse_packages(
             "Package: a\nVersion: 1\nDepends: b\nPre-Depends: c\n"
