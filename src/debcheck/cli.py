@@ -24,7 +24,8 @@ from typing import IO
 
 from .contents import CandidateStatus, classify_pairs, parse_contents, shared_file_pairs
 from .expand import PackageId, Repository, build_repository, expand, package_sort_key
-from .solver import CheckResult, check_all, RepositoryChecker
+from .solver import CheckResult, RepositoryChecker
+from .solver import check_all  # noqa: F401  bench/tracer.py wraps cli.check_all by name
 from .stanza import ParseResult, parse_packages
 from .weather import summarize
 
@@ -32,7 +33,7 @@ from .weather import summarize
 @dataclass
 class Timings:
     parse: float = 0.0
-    expand: float = 0.0  # version and virtual expansion plus repository build
+    expand: float = 0.0  # version and virtual expansion, repository build, encoding
     solve: float = 0.0
 
 
@@ -134,6 +135,9 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
         print(f"debcheck: cannot read input: {exc}", file=err)
         return 2
     repo, parsed, timings = _load_repository(text, err)
+    t0 = time.monotonic()
+    checker = RepositoryChecker(repo)
+    timings.expand += time.monotonic() - t0
     real_total = sum(1 for pid in repo.packages if pid not in repo.virtuals)
     print(
         f"Parsing package file... {timings.parse:.1f} seconds"
@@ -148,12 +152,11 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
 
     t0 = time.monotonic()
     if args.check:
-        checker = RepositoryChecker(repo)
-        results = {pid: checker.query([pid]) for pid in selection}
+        results = {pid: checker.query([pid], args.explain) for pid in selection}
     else:
         results = {
             pid: result
-            for pid, result in check_all(repo).items()
+            for pid, result in checker.check_all(args.explain).items()
             if pid not in repo.virtuals
         }
     timings.solve = time.monotonic() - t0

@@ -70,7 +70,7 @@ def is_trimmed(
 
     broken = [
         pid
-        for pid, result in check_all(repo).items()
+        for pid, result in check_all(repo, explain=False).items()
         if not result.installable and (include_virtuals or pid not in repo.virtuals)
     ]
     return (not broken, broken)

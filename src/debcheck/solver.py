@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from .expand import (
     DepClause,
@@ -683,10 +684,56 @@ class RepositoryChecker:
             return CheckResult(False)
         return CheckResult(False, explanation=self._explain(queried, payload))
 
+    def check_all(self, explain: bool = True) -> dict[PackageId, CheckResult]:
+        """Per-package verdicts for the whole repository, in repository order.
+
+        Packages the base formula fixes false (doomed) are queried first.
+        Every other package is settled by its dependency cone: the package
+        plus the non-doomed members of its dependency clauses, closed
+        transitively.  A cone that holds no conflict pair (same-name
+        versions included, as they are in `repo.conflicts`) is clean, and
+        then the package is installable with its cone as a witness:
+
+        - abundant, because a package that is not doomed has a non-doomed
+          member in every dependency clause, else propagation would have
+          fixed it false, and the cone holds all of them;
+        - at peace, because no conflict pair lies inside it.
+
+        Clean cones share witnesses: they are merged, first fit, into
+        unions that hold no conflict pair, so each union is healthy too.
+        Only packages with a dirty cone reach the solver, one query each.
+        Verdicts equal fresh per-package checks.  Explanations are built
+        only when `explain` is set.
+        """
+        package_of = self.clause_set.package_of
+        doomed = set(self._engine.never_installable_vars())
+        results: dict[PackageId, CheckResult] = {}
+        for pid in sorted(map(package_of, doomed), key=package_sort_key):
+            results[pid] = self.query([pid], explain)
+
+        witnesses, group_of = _clean_cones(self.clause_set, doomed)
+        shared = []
+        for witness in witnesses:
+            if __debug__ and len(self.repo.packages) <= 2000:
+                assert check_health(witness, self.repo).healthy
+            shared.append(CheckResult(True, witness=witness))
+        for pid in self.repo.packages:
+            if pid not in results:
+                group = group_of.get(self.clause_set.var_of(pid))
+                results[pid] = (
+                    self.query([pid], explain) if group is None else shared[group]
+                )
+        return {pid: results[pid] for pid in self.repo.packages}
+
     def _probe(
         self, pids: list[PackageId]
     ) -> tuple[frozenset[PackageId] | None, PackageId | None]:
-        """Bare group query: (witness, None) or (None, failed package)."""
+        """Bare group query: (witness, None) or (None, failed package).
+
+        The package itself does not call it.  `bench/tracer.py` wraps it by
+        name for its `solver.probe_calls` metric, so it stays until the
+        tracer reads counters kept by the program instead.
+        """
         assumptions = sorted(self.clause_set.var_of(p) for p in pids)
         sat, payload = self._engine.solve(assumptions)
         if sat:
@@ -731,85 +778,162 @@ def check_coinstallable(repo: Repository, pkgs: frozenset[PackageId]) -> CheckRe
     return RepositoryChecker(repo).query(sorted(pkgs, key=package_sort_key))
 
 
-_BATCH_SIZE = 192
+def check_all(repo: Repository, explain: bool = True) -> dict[PackageId, CheckResult]:
+    """Per-package verdicts for the whole repository, in repository order;
+    see `RepositoryChecker.check_all`."""
+    return RepositoryChecker(repo).check_all(explain)
 
 
-def check_all(repo: Repository) -> dict[PackageId, CheckResult]:
-    """Per-package verdicts with the encoding built once and shared.
+def _components(
+    succ: list[list[int]], roots: Iterable[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components of what `roots` reach along `succ`,
+    children first, and each vertex's component index (-1 if unreached).
 
-    Packages are probed in groups: one satisfiable group query proves the
-    whole group (and everything else in its witness) installable in a
-    single propagation pass over the shared closure.  An unsatisfiable
-    group is bisected, so breakage is isolated in logarithmically many
-    solves and only true failures pay for explanation extraction.  The
-    verdicts equal fresh per-package checks; grouping is purely a
-    performance device.
+    Tarjan's algorithm on an explicit stack, so any depth is fine: `order`
+    holds visit numbers, and a visited vertex whose `comp` is still -1 is
+    on Tarjan's stack.
     """
-    checker = RepositoryChecker(repo)
-    results: dict[PackageId, CheckResult] = {}
-
-    # packages the base formula already fixes as impossible
-    doomed = {
-        checker.clause_set.package_of(v)
-        for v in checker._engine.never_installable_vars()
-    }
-    for pid in sorted(doomed, key=package_sort_key):
-        results[pid] = checker.query([pid])
-
-    def record(witness: frozenset[PackageId]) -> None:
-        shared = CheckResult(True, witness=witness)
-        for member in witness:
-            if member not in results:
-                results[member] = shared
-
-    def settle(group: list[PackageId]) -> None:
-        while True:
-            group = [pid for pid in group if pid not in results]
-            if not group:
-                return
-            if len(group) == 1:
-                result = checker.query(group)
-                if result.installable:
-                    record(result.witness)
-                else:
-                    results[group[0]] = result
-                return
-            witness, failed = checker._probe(group)
-            if witness is not None:
-                record(witness)
-                return
-            # usually `failed` is broken on its own: settle it alone, then
-            # retry the rest; if it is fine alone the group members are
-            # mutually incompatible, so bisect
-            single = checker.query([failed])
-            if single.installable:
-                record(single.witness)
-                mid = len(group) // 2
-                settle(group[:mid])
-                group = group[mid:]
+    order = [0] * len(succ)
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)
+    sccs: list[list[int]] = []
+    stack: list[int] = []
+    visits = 0
+    for root in roots:
+        if order[root]:
+            continue
+        visits += 1
+        order[root] = low[root] = visits
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if not order[w]:
+                    visits += 1
+                    order[w] = low[w] = visits
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
             else:
-                results[failed] = single
-                group = [pid for pid in group if pid != failed]
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = len(sccs)
+                        members.append(w)
+                        if w == v:
+                            break
+                    sccs.append(members)
+    return sccs, comp
 
-    pending = [pid for pid in repo.packages if pid not in results]
-    index = 0
-    while index < len(pending):
-        batch: list[PackageId] = []
-        names: set[str] = set()
-        while index < len(pending) and len(batch) < _BATCH_SIZE:
-            pid = pending[index]
-            if pid in results:
-                index += 1
-                continue
-            if pid.name in names:
-                break  # same-name versions always conflict; keep them apart
-            names.add(pid.name)
-            batch.append(pid)
-            index += 1
-        if batch:
-            settle(batch)
 
-    return {pid: results[pid] for pid in repo.packages}
+def _clean_cones(
+    clause_set: ClauseSet, doomed: set[int]
+) -> tuple[list[frozenset[PackageId]], dict[int, int]]:
+    """Witnesses for the packages whose dependency cone is clean.
+
+    A package's successors are the members of its dependency clauses that
+    are not `doomed`, and its cone is everything reachable that way,
+    itself included.  Strongly connected components come children first,
+    and bit positions follow that order, so each component's cone is its
+    members' bits OR'd with its children's cones.  Each conflict pair is
+    recorded at its end with the higher position, as the bit of the other
+    end, and `near` of a cone ORs the records of its members.  A pair lies
+    inside a cone iff both ends do, iff its lower end is in `cone & near`.
+    A component is clean when no child is dirty and `cone & near` is
+    empty.  Both bitsets stay below the component's own position, and are
+    kept only until the last component with an edge into them has read
+    them.
+
+    Clean cones are merged first fit into unions that hold no conflict
+    pair: a pair across a cone and a union has its lower end in
+    `cone & union_near` or in `union & near`.  Returns each union as a
+    witness and, for every clean variable, the index of the union holding
+    its cone.
+    """
+    n = len(clause_set.packages)
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    rivals: list[list[int]] = [[] for _ in range(n + 1)]
+    for clause, origin in zip(clause_set.clauses, clause_set.origins):
+        if isinstance(origin, DependencyEdge):
+            succ[-clause[0]].extend(m for m in clause[1:] if m not in doomed)
+        else:
+            rivals[-clause[0]].append(-clause[1])
+            rivals[-clause[1]].append(-clause[0])
+
+    sccs, comp = _components(succ, (v for v in range(1, n + 1) if v not in doomed))
+    at = [v for members in sccs for v in members]  # bit position -> variable
+    pos = [-1] * (n + 1)
+    for i, v in enumerate(at):
+        pos[v] = i
+
+    def children(c: int) -> set[int]:
+        kids = {comp[w] for v in sccs[c] for w in succ[v]}
+        kids.discard(c)
+        return kids
+
+    readers = [0] * len(sccs)
+    for c in range(len(sccs)):
+        for k in children(c):
+            readers[k] += 1
+
+    cones: dict[int, tuple[int, int]] = {}  # clean component -> (cone, near)
+    dirty = [False] * len(sccs)
+    unions: list[tuple[int, int]] = []  # (union of cones, its near)
+    group_of: dict[int, int] = {}
+    for c, members in enumerate(sccs):
+        kids = children(c)
+        bad = any(dirty[k] for k in kids)
+        if not bad:
+            cone = near = 0
+            for v in members:
+                cone |= 1 << pos[v]
+                for w in rivals[v]:
+                    if 0 <= pos[w] < pos[v]:
+                        near |= 1 << pos[w]
+            for k in kids:
+                kid_cone, kid_near = cones[k]
+                cone |= kid_cone
+                near |= kid_near
+            bad = (cone & near) != 0
+        for k in kids:
+            readers[k] -= 1
+            if not readers[k]:
+                cones.pop(k, None)
+        if bad:
+            dirty[c] = True
+            continue
+        if readers[c]:
+            cones[c] = (cone, near)
+        for g, (union, union_near) in enumerate(unions):
+            if not (cone & union_near or union & near):
+                unions[g] = (union | cone, union_near | near)
+                break
+        else:
+            g = len(unions)
+            unions.append((cone, near))
+        for v in members:
+            group_of[v] = g
+
+    package_of = clause_set.package_of
+    witnesses = [frozenset(package_of(at[i]) for i in _set_bits(union)) for union, _ in unions]
+    return witnesses, group_of
+
+
+def _set_bits(bits: int) -> Iterator[int]:
+    """Positions of the bits set in `bits`, lowest first."""
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def brute_force_check(repo: Repository, pkgs: frozenset[PackageId]) -> bool:

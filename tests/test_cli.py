@@ -174,6 +174,19 @@ class TestCheckCommand:
                 f"  p{i} (= 1) depends on p{i + 1} {{p{i + 1} (= 1)}}" for i in range(end)
             ] + [f"  p{end} (= 1) depends on gone {{NOT AVAILABLE}}"]
 
+    def test_whole_archive_deep_chain_and_cycle(self, sample_file, capsys):
+        depth = 3000
+        chain = [f"Depends: p{i + 1}\n" for i in range(depth - 1)] + [""]
+        cycle = [f"Depends: p{(i + 1) % depth}\n" for i in range(depth)]
+        for depends in (chain, cycle):
+            text = "\n".join(
+                f"Package: p{i}\nVersion: 1\n{d}" for i, d in enumerate(depends)
+            )
+            code, out, err = run([sample_file(text)], capsys)
+            assert code == 0
+            assert "Traceback" not in err
+            assert out.splitlines()[-1].startswith("3000 packages, 0 not installable")
+
     def test_virtual_packages_not_reported(self, sample_file, capsys):
         code, out, _ = run([sample_file(VIRTUAL_SAMPLE)], capsys)
         assert code == 0

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -187,9 +188,10 @@ class TestCheckAll:
         assert [s.package.name for s in a_chain.steps] == ["a", "b"]
 
     def test_agrees_with_fresh_single_checks(self):
+        # 40 packages mix clean and dirty cones past the brute-force size
         rng = random.Random(4)
-        for _ in range(40):
-            repo = random_repository(rng, max_packages=10)
+        for max_packages, _ in product((10, 40), range(40)):
+            repo = random_repository(rng, max_packages=max_packages)
             combined = check_all(repo)
             assert list(combined) == list(repo.packages)
             for target in repo.packages:
@@ -198,6 +200,56 @@ class TestCheckAll:
                 if combined[target].installable:
                     assert target in combined[target].witness
                     assert check_health(combined[target].witness, repo).healthy
+
+    @pytest.mark.parametrize(
+        "stanzas, clean",
+        [
+            pytest.param(
+                ["p;Depends: a | b, c", "a;Conflicts: c", "b", "c"],
+                {"a", "b", "c"},
+                id="conflict-an-alternative-avoids",
+            ),
+            pytest.param(
+                ["p;Depends: q", "q=1", "q=2"],
+                {"q"},
+                id="two-versions-through-an-unversioned-dependency",
+            ),
+            pytest.param(
+                ["a;Depends: b", "b;Depends: c", "c;Depends: a",
+                 "d;Depends: a;Conflicts: e", "e"],
+                {"a", "b", "c", "d", "e"},
+                id="clean-cycle",
+            ),
+            pytest.param(
+                ["a;Depends: b | x", "b;Depends: c", "c;Depends: a, gone", "x"],
+                {"a", "x"},
+                id="cycle-with-a-doomed-member",
+            ),
+            pytest.param(
+                ["p;Depends: a, b", "a;Conflicts: b", "b", "r;Depends: p"],
+                {"a", "b"},
+                id="unavoidable-cone-conflict",
+            ),
+        ],
+    )
+    def test_cone_pass_edge_cases(self, stanzas, clean):
+        """Each stanza is `name[=version]` and then its fields, split by `;`;
+        `clean` names the packages the cone pass settles."""
+        blocks = []
+        for stanza in stanzas:
+            head, *fields = stanza.split(";")
+            name, _, version = head.partition("=")
+            blocks.append("\n".join([f"Package: {name}", f"Version: {version or 1}", *fields]))
+        repo = repo_from("\n\n".join(blocks) + "\n")
+        checker = solver.RepositoryChecker(repo)
+        doomed = set(checker._engine.never_installable_vars())
+        _, group_of = solver._clean_cones(checker.clause_set, doomed)
+        assert {checker.clause_set.package_of(v).name for v in group_of} == clean
+        for target, result in check_all(repo).items():
+            assert result.installable == brute_force_check(repo, frozenset({target}))
+            if result.installable:
+                assert target in result.witness
+                assert check_health(result.witness, repo).healthy
 
 
 class TestBruteForce:
