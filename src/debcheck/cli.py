@@ -97,23 +97,16 @@ def _select_packages(
     ok = True
     for selector in selectors:
         name, sep, version = selector.partition("=")
-        if sep:
-            pid = PackageId(name, version)
-            if pid in repo:
-                selected.append(pid)
-            else:
-                print(f"debcheck: unknown package: {selector}", file=err)
-                ok = False
+        # synthesized virtual packages are never reported, so never selected
+        versions = [
+            pid for pid in repo.versions_by_name.get(name, [])
+            if pid not in repo.virtuals and (not sep or pid.version == version)
+        ]
+        if versions:
+            selected.extend(versions)
         else:
-            versions = [
-                pid for pid in repo.versions_by_name.get(name, [])
-                if pid not in repo.virtuals
-            ]
-            if versions:
-                selected.extend(versions)
-            else:
-                print(f"debcheck: unknown package: {selector}", file=err)
-                ok = False
+            print(f"debcheck: unknown package: {selector}", file=err)
+            ok = False
     return sorted(set(selected), key=package_sort_key), ok
 
 

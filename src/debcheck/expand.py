@@ -178,16 +178,6 @@ def _expand_ref(
     return expanded
 
 
-def _dedupe(refs: Iterable[ConstrainedRef]) -> tuple[ConstrainedRef, ...]:
-    seen = set()
-    out = []
-    for ref in refs:
-        if ref not in seen:
-            seen.add(ref)
-            out.append(ref)
-    return tuple(out)
-
-
 def expand_version_constraints(stanzas: list[PackageStanza]) -> list[PackageStanza]:
     """Rewrite all constrained references into exact-version disjunctions.
 
@@ -203,13 +193,13 @@ def expand_version_constraints(stanzas: list[PackageStanza]) -> list[PackageStan
     for s in stanzas:
         conjuncts = []
         for alt in s.depends.conjuncts:
-            refs = _dedupe(
+            refs = tuple(dict.fromkeys(
                 r for ref in alt.refs for r in _expand_ref(ref, available, provided)
-            )
+            ))
             conjuncts.append(Alternative(refs, origin=alt.label()))
-        conflicts = _dedupe(
+        conflicts = tuple(dict.fromkeys(
             r for ref in s.conflicts for r in _expand_ref(ref, available, provided)
-        )
+        ))
         out.append(
             PackageStanza(
                 name=s.name,
@@ -275,14 +265,14 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
         owner = PackageId(s.name, s.version)
         conjuncts = tuple(
             Alternative(
-                _dedupe(r for ref in alt.refs for r in rewrite_dep(ref)),
+                tuple(dict.fromkeys(r for ref in alt.refs for r in rewrite_dep(ref))),
                 origin=alt.label(),
             )
             for alt in s.depends.conjuncts
         )
-        conflicts = _dedupe(
+        conflicts = tuple(dict.fromkeys(
             r for ref in s.conflicts for r in rewrite_conflict(owner, ref)
-        )
+        ))
         out.append(
             PackageStanza(
                 name=s.name,
@@ -297,10 +287,10 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
         )
 
     for name in sorted(providers):
-        members = _dedupe(
+        members = tuple(dict.fromkeys(
             [ConstrainedRef(p.name, "=", p.version) for p in providers[name]]
             + [ConstrainedRef(name, "=", v) for v in available.get(name, [])]
-        )
+        ))
         origin = " | ".join(dict.fromkeys(r.name for r in members))
         out.append(
             PackageStanza(

@@ -15,9 +15,11 @@ literal, only true variables under its negative literals, and an
 unassigned positive literal.  The search decides such clauses until none
 remain.  Learned clauses record which clauses they were resolved from,
 which yields an unsatisfiable core (and from it an explanation) without
-a separate proof pass.  A small explanation is shrunk on an engine of its
-own whose edges carry selector literals, so a trial drops an edge by
-leaving its selector out of the assumptions (Eén & Sörensson, SAT 2003).
+a separate proof pass.  Every solve starts from the base state, so a
+result depends only on the repository and the query.  A small explanation
+is shrunk on an engine of its own whose edges carry selector literals, so
+a trial drops an edge by leaving its selector out of the assumptions (Eén
+& Sörensson, SAT 2003).
 Everything iterates in fixed orders, so verdicts, witnesses, and
 explanations are reproducible run to run.
 """
@@ -142,9 +144,10 @@ class _Engine:
     """Reusable CDCL search over one clause set.
 
     Assumptions are installed as the first decision levels, so learned
-    clauses are implied by the base formula alone.  Learned clauses that
-    assert a fact at level 0 are therefore kept between queries; all
-    other learned clauses are discarded when the query ends.
+    clauses are implied by the base formula alone.  Every solve starts
+    from the base state, the base prefix on the trail, and drops what it
+    learned when it ends; `reason` and `level` are read only for assigned
+    variables.
 
     Each clause keeps one counter, its number of true literals; unit and
     conflict tests count its unassigned literals on the spot.  A clause
@@ -155,7 +158,7 @@ class _Engine:
 
     def __init__(self, nvars: int, clauses: tuple[tuple[int, ...], ...]):
         self.nvars = nvars
-        self.clauses: list[tuple[int, ...] | None] = [tuple(dict.fromkeys(c)) for c in clauses]
+        self.clauses = [tuple(dict.fromkeys(c)) for c in clauses]
         self.base_count = len(self.clauses)
         self.value = [0] * (self.nvars + 1)
         self.reason: list[int | None] = [None] * (self.nvars + 1)
@@ -189,6 +192,8 @@ class _Engine:
         if conflict is not None:
             raise RuntimeError("base clause set is unsatisfiable; encoding bug")
         self.base_trail_len = len(self.trail)
+        self.base_value = self.value[:]
+        self.base_n_true = self.n_true[:]
         # trail position of the next true variable to search for blockers
         self.scan = self.base_trail_len
 
@@ -293,7 +298,6 @@ class _Engine:
         stays true may have lost the literal that satisfied its clause.
         """
         value = self.value
-        reason = self.reason
         n_true = self.n_true
         occ_pos = self.occ_pos
         occ_neg = self.occ_neg
@@ -302,7 +306,6 @@ class _Engine:
             for lit in self.trail[mark:]:
                 var = lit if lit > 0 else -lit
                 value[var] = 0
-                reason[var] = None
                 for ci in occ_pos[var] if lit > 0 else occ_neg[var]:
                     n_true[ci] -= 1
             del self.trail[mark:]
@@ -384,21 +387,22 @@ class _Engine:
         return ci
 
     def _cleanup(self) -> None:
-        """Retract per-query state; keep learned clauses asserted at level 0."""
-        self._backtrack(0)
-        for ci in range(self.base_count, len(self.clauses)):
-            clause = self.clauses[ci]
-            if clause is None:
-                continue
-            if any(self.reason[abs(l)] == ci and self.level[abs(l)] == 0 for l in clause):
-                continue
+        """Drop the learned clauses and restore the base assignment."""
+        base = self.base_count
+        # learned ids were appended last, so they end the occurrence lists
+        for clause in reversed(self.clauses[base:]):
             for lit in clause:
-                if lit > 0:
-                    self.occ_pos[lit].remove(ci)
-                else:
-                    self.occ_neg[-lit].remove(ci)
-            self.clauses[ci] = None
-            del self.flat_bases[ci], self.flat_zeros[ci]
+                (self.occ_pos[lit] if lit > 0 else self.occ_neg[-lit]).pop()
+        del self.clauses[base:], self.n_true[base:]
+        self.flat_bases.clear()
+        self.flat_zeros.clear()
+        if len(self.trail) > self.base_trail_len:
+            self.value[:] = self.base_value
+            self.n_true[:] = self.base_n_true
+            del self.trail[self.base_trail_len:]
+        self.trail_lim.clear()
+        self.pending.clear()
+        self.scan = self.base_trail_len
 
     # -- the search ------------------------------------------------------
 
@@ -406,7 +410,7 @@ class _Engine:
         """Decide the base formula under positive unit assumptions.
 
         Returns (True, true variable set) or (False, core).  The engine is
-        left clean for the next query.
+        back in its base state afterwards.
         """
         try:
             while True:
@@ -453,8 +457,6 @@ class _Engine:
         # A literal holds under "unassigned means false" if it is a true
         # positive or a non-true negative.
         for clause in self.clauses:
-            if clause is None:
-                continue
             sat = any(
                 self.value[l] == 1 if l > 0 else self.value[-l] != 1 for l in clause
             )
@@ -687,7 +689,7 @@ class RepositoryChecker:
     def check_all(self, explain: bool = True) -> dict[PackageId, CheckResult]:
         """Per-package verdicts for the whole repository, in repository order.
 
-        Packages the base formula fixes false (doomed) are queried first.
+        Packages the base formula fixes false (doomed) reach the solver.
         Every other package is settled by its dependency cone: the package
         plus the non-doomed members of its dependency clauses, closed
         transitively.  A cone that holds no conflict pair (same-name
@@ -702,28 +704,19 @@ class RepositoryChecker:
         Clean cones share witnesses: they are merged, first fit, into
         unions that hold no conflict pair, so each union is healthy too.
         Only packages with a dirty cone reach the solver, one query each.
-        Verdicts equal fresh per-package checks.  Explanations are built
-        only when `explain` is set.
+        Verdicts and explanations equal fresh per-package checks.
+        Explanations are built only when `explain` is set.
         """
-        package_of = self.clause_set.package_of
         doomed = set(self._engine.never_installable_vars())
-        results: dict[PackageId, CheckResult] = {}
-        for pid in sorted(map(package_of, doomed), key=package_sort_key):
-            results[pid] = self.query([pid], explain)
-
         witnesses, group_of = _clean_cones(self.clause_set, doomed)
-        shared = []
-        for witness in witnesses:
-            if __debug__ and len(self.repo.packages) <= 2000:
-                assert check_health(witness, self.repo).healthy
-            shared.append(CheckResult(True, witness=witness))
+        if __debug__ and len(self.repo.packages) <= 2000:
+            assert all(check_health(w, self.repo).healthy for w in witnesses)
+        shared = [CheckResult(True, witness=w) for w in witnesses]
+        results: dict[PackageId, CheckResult] = {}
         for pid in self.repo.packages:
-            if pid not in results:
-                group = group_of.get(self.clause_set.var_of(pid))
-                results[pid] = (
-                    self.query([pid], explain) if group is None else shared[group]
-                )
-        return {pid: results[pid] for pid in self.repo.packages}
+            group = group_of.get(self.clause_set.var_of(pid))
+            results[pid] = self.query([pid], explain) if group is None else shared[group]
+        return results
 
     def _probe(
         self, pids: list[PackageId]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -110,109 +111,72 @@ class ParseResult:
     warnings: list[str]
 
 
-class _RefScanner:
-    """Tokenizer over a relation field; tracks byte offsets for errors."""
+# A name with the whitespace around it, and a parenthesised constraint
+# with the whitespace after it; the version runs to ")" or the end.
+_NAME = re.compile(r"\s*([^\s,|()]*)\s*")
+_CONSTRAINT = re.compile(r"\(\s*([<>=]*)\s*([^)]*)(\)?)\s*")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def error(self, message: str) -> DependencyParseError:
-        return DependencyParseError(message, self.pos)
-
-    def read_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c.isspace() or c in ",|()":
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a package name")
-        return self.text[start:self.pos]
-
-    def read_ref(self) -> ConstrainedRef:
-        name = self.read_name()
+def _parse_relations(text: str) -> tuple[tuple[Alternative, ...], int | None]:
+    """Parse a relation field; returns its alternatives and the offset of
+    its first '|' (None without one)."""
+    conjuncts: list[Alternative] = []
+    refs: list[ConstrainedRef] = []
+    bar = None
+    sep = ""
+    pos = 0
+    while True:
+        m = _NAME.match(text, pos)
+        name, pos = m.group(1), m.end()
+        if not name:
+            if pos < len(text):
+                raise DependencyParseError("expected a package name", pos)
+            if sep:
+                raise DependencyParseError(f"dangling {sep!r}", pos)
+            return (), None
         # "any" and "native" architecture qualifiers name the package itself
-        base, sep, qualifier = name.rpartition(":")
-        if sep and qualifier in ("any", "native"):
+        base, colon, qualifier = name.rpartition(":")
+        if colon and qualifier in ("any", "native"):
             name = base
-        if self.peek() != "(":
-            return ConstrainedRef(name)
-        self.take()
-        self.skip_ws()
-        rel_start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "<>=":
-            self.pos += 1
-        rel = self.text[rel_start:self.pos]
-        rel = _RELATION_ALIASES.get(rel, rel)
-        if rel not in RELATION_TOKENS:
-            self.pos = rel_start
-            raise self.error(f"unknown relation token {rel!r}")
-        self.skip_ws()
-        ver_start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] != ")":
-            self.pos += 1
-        version = self.text[ver_start:self.pos].strip()
-        if not version:
-            raise self.error("missing version in constraint")
-        if self.pos >= len(self.text):
-            raise self.error("unbalanced parenthesis")
-        self.take()  # ')'
-        return ConstrainedRef(name, rel, version)
+        if text.startswith("(", pos):
+            m = _CONSTRAINT.match(text, pos)
+            rel = _RELATION_ALIASES.get(m.group(1), m.group(1))
+            if rel not in RELATION_TOKENS:
+                raise DependencyParseError(f"unknown relation token {rel!r}", m.start(1))
+            version = m.group(2).strip()
+            if not version:
+                raise DependencyParseError("missing version in constraint", m.end(2))
+            if not m.group(3):
+                raise DependencyParseError("unbalanced parenthesis", m.end(2))
+            refs.append(ConstrainedRef(name, rel, version))
+            pos = m.end()
+        else:
+            refs.append(ConstrainedRef(name))
+        sep = text[pos:pos + 1]
+        if sep == "|":
+            if bar is None:
+                bar = pos
+        else:
+            conjuncts.append(Alternative(tuple(refs)))
+            refs = []
+            if not sep:
+                return tuple(conjuncts), bar
+            if sep != ",":
+                raise DependencyParseError(f"unexpected {sep!r}", pos + 1)
+        pos += 1
 
 
 def parse_dependency_field(text: str) -> DependencyExpression:
     """Parse a Depends-style field: comma-separated pipe-disjunctions."""
-    scanner = _RefScanner(text)
-    if scanner.at_end():
-        return DependencyExpression()
-    conjuncts = []
-    while True:
-        refs = [scanner.read_ref()]
-        while scanner.peek() == "|":
-            scanner.take()
-            if scanner.at_end():
-                raise scanner.error("dangling '|'")
-            refs.append(scanner.read_ref())
-        conjuncts.append(Alternative(tuple(refs)))
-        if scanner.at_end():
-            break
-        c = scanner.take()
-        if c != ",":
-            raise scanner.error(f"unexpected {c!r}")
-        if scanner.at_end():
-            raise scanner.error("dangling ','")
-    return DependencyExpression(tuple(conjuncts))
+    return DependencyExpression(_parse_relations(text)[0])
 
 
 def parse_ref_list(text: str) -> tuple[ConstrainedRef, ...]:
     """Parse a Conflicts-style field: comma-separated refs, no disjunction."""
-    expr = parse_dependency_field(text)
-    refs = []
-    for alt in expr.conjuncts:
-        if len(alt.refs) != 1:
-            raise DependencyParseError("'|' is not allowed in this field", 0)
-        refs.append(alt.refs[0])
-    return tuple(refs)
+    conjuncts, bar = _parse_relations(text)
+    if bar is not None:
+        raise DependencyParseError("'|' is not allowed in this field", bar)
+    return tuple(alt.refs[0] for alt in conjuncts)
 
 
 def render_dependency_field(expr: DependencyExpression) -> str:
@@ -344,10 +308,9 @@ def parse_packages(source: str | bytes | IO | Iterable[str]) -> ParseResult:
     and skipped; everything else is still returned.  When the same
     (name, version) appears twice the last stanza wins, with a warning.
     """
-    stanzas: list[PackageStanza] = []
+    by_id: dict[tuple[str, str], PackageStanza] = {}
     errors: list[StanzaError] = []
     warnings: list[str] = []
-    by_id: dict[tuple[str, str], int] = {}
 
     for start, fields in _split_stanzas(iter_text_lines(source)):
         try:
@@ -356,13 +319,11 @@ def parse_packages(source: str | bytes | IO | Iterable[str]) -> ParseResult:
             errors.append(StanzaError(start, str(exc)))
             continue
         key = (stanza.name, stanza.version)
-        if key in by_id:
+        if by_id.pop(key, None) is not None:
             warnings.append(
                 f"duplicate stanza for {stanza.name} {stanza.version}"
                 f" (line {start}); keeping the last one"
             )
-            stanzas[by_id[key]] = None  # type: ignore[call-overload]
-        by_id[key] = len(stanzas)
-        stanzas.append(stanza)
+        by_id[key] = stanza
 
-    return ParseResult([s for s in stanzas if s is not None], errors, warnings)
+    return ParseResult(list(by_id.values()), errors, warnings)

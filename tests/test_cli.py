@@ -192,6 +192,14 @@ class TestCheckCommand:
         assert code == 0
         assert "4 packages, 0 not installable" in out
 
+    @pytest.mark.parametrize("selector", ["x", "x=virtual"])
+    def test_selector_never_names_a_virtual_package(self, sample_file, capsys, selector):
+        path = sample_file("Package: b\nVersion: 1\nProvides: x\n")
+        code, out, err = run(["--check", selector, "--successes-only", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"debcheck: unknown package: {selector}" in err
+
 
 class TestConflictsCommand:
     def test_text_report(self, sample_file, capsys):

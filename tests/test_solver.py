@@ -28,6 +28,7 @@ from debcheck.solver import (
 from debcheck.stanza import parse_packages
 
 from conftest import random_repository
+from test_acceptance import _synthetic_distribution
 
 
 def pid(name, version="1"):
@@ -250,6 +251,54 @@ class TestCheckAll:
             if result.installable:
                 assert target in result.witness
                 assert check_health(result.witness, repo).healthy
+
+
+@pytest.fixture(scope="module")
+def sample_3000():
+    """The 3000-package criterion-6 sample: 95 broken packages."""
+    return repo_from(_synthetic_distribution(count=3000))
+
+
+class TestPureQueries:
+    def test_explanations_depend_only_on_the_query(self, sample_3000):
+        repo = sample_3000
+        combined = check_all(repo)
+        broken = [p for p, result in combined.items() if not result.installable]
+        assert len(broken) == 95
+        shared = solver.RepositoryChecker(repo)
+        backwards = {p: shared.query([p]) for p in reversed(broken)}
+        for target in broken:
+            lines = combined[target].explanation.render_lines()
+            assert backwards[target].explanation.render_lines() == lines
+            assert check_installable(repo, target).explanation.render_lines() == lines
+
+    def test_every_solve_returns_to_the_base_state(self, sample_3000, monkeypatch):
+        checker = solver.RepositoryChecker(sample_3000)
+        engine = checker._engine
+
+        def state():
+            return (
+                engine.value[:],
+                engine.n_true[:],
+                engine.trail[:],
+                len(engine.clauses),
+                [len(occ) for occ in engine.occ_pos],
+                [len(occ) for occ in engine.occ_neg],
+            )
+
+        learned = []
+        add_learned = engine._add_learned
+
+        def counting(lits, bases, zeros):
+            learned.append(len(lits))
+            return add_learned(lits, bases, zeros)
+
+        monkeypatch.setattr(engine, "_add_learned", counting)
+        base = state()
+        verdicts = [checker.query([p]).installable for p in sample_3000.packages[::10]]
+        assert True in verdicts and False in verdicts
+        assert 1 in learned  # some solve learned a fact at level 0
+        assert state() == base
 
 
 class TestBruteForce:

@@ -63,6 +63,11 @@ class TestParseDependencyField:
             ("a (?? 2)", 3),
             (",a", 0),
             ("a | | b", 4),
+            ("a (>= )", 6),
+            ("a (<<= 1)", 3),
+            ("a b", 3),
+            ("x (= 1) (= 2)", 9),
+            ("\ta\x1c|", 4),
         ],
     )
     def test_errors_carry_offset(self, text, offset_at_least):
@@ -70,10 +75,44 @@ class TestParseDependencyField:
             parse_dependency_field(text)
         assert exc.value.offset >= offset_at_least
         assert exc.value.offset <= len(text)
+        message, offset = PARSE_ERRORS[text]
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"{message} (at offset {offset})"
 
     def test_ref_list_rejects_disjunction(self):
         with pytest.raises(DependencyParseError):
             parse_ref_list("a|b")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a|b", "'|' is not allowed in this field (at offset 1)"),
+            ("b, c | d", "'|' is not allowed in this field (at offset 5)"),
+            ("a (= 1|2), b | c", "'|' is not allowed in this field (at offset 13)"),
+            # the whole field is read before a '|' is rejected
+            ("a | b, (", "expected a package name (at offset 7)"),
+        ],
+    )
+    def test_ref_list_errors_carry_offset(self, text, message):
+        with pytest.raises(DependencyParseError) as exc:
+            parse_ref_list(text)
+        assert str(exc.value) == message
+
+
+# Every error kind of the relation parser, with its exact offset.
+PARSE_ERRORS = {
+    "a|": ("dangling '|'", 2),
+    "a,": ("dangling ','", 2),
+    "a (>= 2": ("unbalanced parenthesis", 7),
+    "a (?? 2)": ("unknown relation token ''", 3),
+    ",a": ("expected a package name", 0),
+    "a | | b": ("expected a package name", 4),
+    "a (>= )": ("missing version in constraint", 6),
+    "a (<<= 1)": ("unknown relation token '<<='", 3),
+    "a b": ("unexpected 'b'", 3),
+    "x (= 1) (= 2)": ("unexpected '('", 9),
+    "\ta\x1c|": ("dangling '|'", 4),
+}
 
 
 names = st.from_regex(r"[a-z][a-z0-9+.-]{0,5}", fullmatch=True)
@@ -187,7 +226,10 @@ class TestParsePackages:
             "Package: c\nVersion: 1\n"
         )
         assert not result.errors
-        assert result.warnings
+        assert result.warnings == [
+            "duplicate stanza for a 1 (line 8); keeping the last one"
+        ]
+        assert [s.name for s in result.stanzas] == ["b", "a", "c"]
         a = [s for s in result.stanzas if s.name == "a"]
         assert len(a) == 1
         assert a[0].depends == parse_dependency_field("c")
