@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .expand import PackageId, Repository, package_sort_key
+from .expand import PackageId, Repository
 from .solver import RepositoryChecker
 from .stanza import PackageStanza, iter_text_lines
 
@@ -108,12 +108,12 @@ def shared_file_pairs(index: ContentsIndex) -> list[ConflictCandidate]:
 
 
 def _newest_version(repo: Repository, name: str) -> PackageId | None:
-    candidates = [
-        pid for pid in repo.versions_by_name.get(name, []) if pid not in repo.virtuals
-    ]
-    if not candidates:
-        return None
-    return sorted(candidates, key=package_sort_key)[0]  # versions sort newest first
+    """The newest real version of `name`: `versions_by_name` keeps the order
+    of `repo.packages`, which `build_repository` sorts newest first."""
+    return next(
+        (pid for pid in repo.versions_by_name.get(name, ()) if pid not in repo.virtuals),
+        None,
+    )
 
 
 def classify_pairs(

@@ -20,10 +20,11 @@ pipeline from scratch.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .stanza import (
     Alternative,
@@ -154,28 +155,100 @@ def _available_versions(stanzas: Iterable[PackageStanza]) -> dict[str, list[str]
     return versions
 
 
+#: A reference as a plain tuple (name, relation, version): memo key that
+#: hashes in C, unlike the dataclass.
+_RefKey = tuple[str, str | None, str | None]
+
+
 def _expand_ref(
     ref: ConstrainedRef,
     available: dict[str, list[str]],
     provided: frozenset[str],
-) -> list[ConstrainedRef]:
+) -> tuple[ConstrainedRef, ...]:
     """Expand one reference against the available versions.
 
     Constrained references match real versions only.  A bare reference to
     a provided name keeps its bare form so the virtual pass can resolve
-    it; a bare reference to a wholly absent name expands to nothing.
+    it; a bare reference to a wholly absent name expands to nothing.  The
+    result never repeats a reference.
     """
     versions = available.get(ref.name, [])
     if ref.constrained:
-        return [
+        return tuple(
             ConstrainedRef(ref.name, "=", v)
             for v in versions
             if satisfies(v, ref.relation, ref.version)
-        ]
+        )
     expanded = [ConstrainedRef(ref.name, "=", v) for v in versions]
     if ref.name in provided:
         expanded.append(ConstrainedRef(ref.name))
-    return expanded
+    return tuple(expanded)
+
+
+class _Pass:
+    """The memos of one expansion pass over one input.
+
+    `rewrite(ref)`, which returns a tuple without repeats, runs once per
+    distinct reference, keyed by a plain tuple so no dataclass hash runs.
+    Each input alternative object is rewritten once, so alternatives that
+    the input shares (as `parse_packages` makes them) stay shared, and an
+    alternative, expression or stanza that a rewrite leaves as it was is
+    kept as the same object.
+    """
+
+    def __init__(self, rewrite: Callable[[ConstrainedRef], tuple[ConstrainedRef, ...]]):
+        self.rewrite = rewrite
+        self.rewritten: dict[_RefKey, tuple[ConstrainedRef, ...]] = {}
+        # keyed by id(): the input holds every alternative for the whole pass
+        self.alternatives: dict[int, Alternative] = {}
+
+    def _ref(self, ref: ConstrainedRef) -> tuple[ConstrainedRef, ...]:
+        key = (ref.name, ref.relation, ref.version)
+        hit = self.rewritten.get(key)
+        if hit is None:
+            hit = self.rewritten[key] = self.rewrite(ref)
+        return hit
+
+    def refs(self, refs: tuple[ConstrainedRef, ...]) -> tuple[ConstrainedRef, ...]:
+        if len(refs) == 1:
+            return self._ref(refs[0])
+        return tuple(dict.fromkeys(r for ref in refs for r in self._ref(ref)))
+
+    def stanza(
+        self, s: PackageStanza, conflicts: tuple[ConstrainedRef, ...], provides: tuple[str, ...]
+    ) -> PackageStanza:
+        """`s` with its dependencies rewritten and these conflicts and
+        provides; `s` itself when that changes nothing."""
+        depends = self._depends(s.depends)
+        if depends is s.depends and conflicts == s.conflicts and provides == s.provides:
+            return s
+        return PackageStanza(
+            name=s.name,
+            version=s.version,
+            depends=depends,
+            conflicts=conflicts,
+            provides=provides,
+            replaces=s.replaces,
+            architecture=s.architecture,
+            is_virtual=s.is_virtual,
+        )
+
+    def _depends(self, expr: DependencyExpression) -> DependencyExpression:
+        conjuncts = tuple(map(self._alternative, expr.conjuncts))
+        if all(map(operator.is_, conjuncts, expr.conjuncts)):
+            return expr
+        return DependencyExpression(conjuncts)
+
+    def _alternative(self, alt: Alternative) -> Alternative:
+        hit = self.alternatives.get(id(alt))
+        if hit is None:
+            refs = self.refs(alt.refs)
+            hit = alt
+            # equality ignores `origin`, which must end up set
+            if alt.origin is None or refs != alt.refs:
+                hit = Alternative(refs, origin=alt.label())
+            self.alternatives[id(alt)] = hit
+        return hit
 
 
 def expand_version_constraints(stanzas: list[PackageStanza]) -> list[PackageStanza]:
@@ -183,36 +256,15 @@ def expand_version_constraints(stanzas: list[PackageStanza]) -> list[PackageStan
 
     Alternatives whose references match nothing become empty (the package
     is then unsatisfiable; that is data, not an error).  Each alternative
-    remembers its original text as its label.
+    remembers its original text as its label.  Each distinct reference is
+    resolved once per call.
     """
     stanzas = list(stanzas)
     available = _available_versions(stanzas)
     provided = frozenset(name for s in stanzas for name in s.provides)
+    resolved = _Pass(lambda ref: _expand_ref(ref, available, provided))
 
-    out = []
-    for s in stanzas:
-        conjuncts = []
-        for alt in s.depends.conjuncts:
-            refs = tuple(dict.fromkeys(
-                r for ref in alt.refs for r in _expand_ref(ref, available, provided)
-            ))
-            conjuncts.append(Alternative(refs, origin=alt.label()))
-        conflicts = tuple(dict.fromkeys(
-            r for ref in s.conflicts for r in _expand_ref(ref, available, provided)
-        ))
-        out.append(
-            PackageStanza(
-                name=s.name,
-                version=s.version,
-                depends=DependencyExpression(tuple(conjuncts)),
-                conflicts=conflicts,
-                provides=s.provides,
-                replaces=s.replaces,
-                architecture=s.architecture,
-                is_virtual=s.is_virtual,
-            )
-        )
-    return out
+    return [resolved.stanza(s, resolved.refs(s.conflicts), s.provides) for s in stanzas]
 
 
 def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]:
@@ -224,71 +276,55 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
     conflicts against each provider except the conflicting package itself.
     """
     stanzas = list(stanzas)
-    providers: dict[str, list[PackageId]] = {}
+    providers: dict[str, list[tuple[str, str]]] = {}
     for s in stanzas:
         for name in s.provides:
-            providers.setdefault(name, []).append(PackageId(s.name, s.version))
+            providers.setdefault(name, []).append((s.name, s.version))
 
-    real_ids = {PackageId(s.name, s.version) for s in stanzas}
+    real_ids = {(s.name, s.version) for s in stanzas}
     available = _available_versions(stanzas)
 
     synthetic_version: dict[str, str] = {}
     for name in providers:
         version = VIRTUAL_VERSION
         bump = 0
-        while PackageId(name, version) in real_ids:
+        while (name, version) in real_ids:
             bump += 1
             version = f"{VIRTUAL_VERSION}{bump}"
         synthetic_version[name] = version
 
-    def rewrite_dep(ref: ConstrainedRef) -> list[ConstrainedRef]:
-        if ref.constrained or ref.name not in providers:
-            return [ref]
-        return [ConstrainedRef(ref.name, "=", synthetic_version[ref.name])]
+    def is_virtual_ref(ref: ConstrainedRef) -> bool:
+        return not ref.constrained and ref.name in providers
 
-    def rewrite_conflict(owner: PackageId, ref: ConstrainedRef) -> list[ConstrainedRef]:
-        if ref.constrained or ref.name not in providers:
+    def rewrite_dep(ref: ConstrainedRef) -> tuple[ConstrainedRef, ...]:
+        if not is_virtual_ref(ref):
+            return (ref,)
+        return (ConstrainedRef(ref.name, "=", synthetic_version[ref.name]),)
+
+    def rewrite_conflict(owner: tuple[str, str], ref: ConstrainedRef) -> list[ConstrainedRef]:
+        if not is_virtual_ref(ref):
             return [ref]
-        kept = [
-            ConstrainedRef(p.name, "=", p.version)
-            for p in providers[ref.name]
-            if p != owner
-        ]
+        kept = [ConstrainedRef(p, "=", v) for p, v in providers[ref.name] if (p, v) != owner]
         # Real versions of the name were already expanded in pass 1; they
         # only need adding when this pass runs on unexpanded input.
         for v in available.get(ref.name, []):
             kept.append(ConstrainedRef(ref.name, "=", v))
         return kept
 
+    rewritten = _Pass(rewrite_dep)
     out = []
     for s in stanzas:
-        owner = PackageId(s.name, s.version)
-        conjuncts = tuple(
-            Alternative(
-                tuple(dict.fromkeys(r for ref in alt.refs for r in rewrite_dep(ref))),
-                origin=alt.label(),
-            )
-            for alt in s.depends.conjuncts
-        )
-        conflicts = tuple(dict.fromkeys(
-            r for ref in s.conflicts for r in rewrite_conflict(owner, ref)
-        ))
-        out.append(
-            PackageStanza(
-                name=s.name,
-                version=s.version,
-                depends=DependencyExpression(conjuncts),
-                conflicts=conflicts,
-                provides=(),
-                replaces=s.replaces,
-                architecture=s.architecture,
-                is_virtual=s.is_virtual,
-            )
-        )
+        owner = (s.name, s.version)
+        conflicts = s.conflicts
+        if len(conflicts) > 1 or any(map(is_virtual_ref, conflicts)):
+            conflicts = tuple(dict.fromkeys(
+                r for ref in conflicts for r in rewrite_conflict(owner, ref)
+            ))
+        out.append(rewritten.stanza(s, conflicts, ()))
 
     for name in sorted(providers):
         members = tuple(dict.fromkeys(
-            [ConstrainedRef(p.name, "=", p.version) for p in providers[name]]
+            [ConstrainedRef(p, "=", v) for p, v in providers[name]]
             + [ConstrainedRef(name, "=", v) for v in available.get(name, [])]
         ))
         origin = " | ".join(dict.fromkeys(r.name for r in members))
@@ -314,47 +350,63 @@ def build_repository(stanzas: list[PackageStanza]) -> Repository:
     Exact references to absent packages are dropped (possibly leaving an
     alternative empty).  Declared conflicts are symmetrized, self-pairs
     removed, and every distinct-version pair of one name is added.
-    """
-    ids = [PackageId(s.name, s.version) for s in stanzas]
-    seen: set[PackageId] = set()
-    for pid in ids:
-        if pid in seen:
-            raise RepositoryError(f"duplicate package after expansion: {pid.render()}")
-        seen.add(pid)
 
-    order = sorted(ids, key=package_sort_key)
-    present = frozenset(ids)
+    There is one `PackageId` per (name, version): every clause member,
+    conflict end and entry of `packages` is that object.  An alternative
+    object that several stanzas share becomes one shared `DepClause`.
+    """
+    ids: dict[tuple[str, str], PackageId] = {}
+    for s in stanzas:
+        key = (s.name, s.version)
+        if key in ids:
+            raise RepositoryError(f"duplicate package after expansion: {ids[key].render()}")
+        ids[key] = PackageId(s.name, s.version)
+
+    order = sorted(ids.values(), key=package_sort_key)
     byname: dict[str, list[PackageId]] = {}
     for pid in order:
         byname.setdefault(pid.name, []).append(pid)
 
-    def resolve(ref: ConstrainedRef) -> list[PackageId]:
-        if ref.constrained:
-            pid = PackageId(ref.name, ref.version)
-            return [pid] if pid in present else []
-        return byname.get(ref.name, [])
+    resolved: dict[_RefKey, frozenset[PackageId]] = {}
+
+    def resolve(ref: ConstrainedRef) -> frozenset[PackageId]:
+        key = (ref.name, ref.relation, ref.version)
+        hit = resolved.get(key)
+        if hit is None:
+            if ref.constrained:
+                pid = ids.get((ref.name, ref.version))
+                hit = frozenset() if pid is None else frozenset((pid,))
+            else:
+                hit = frozenset(byname.get(ref.name, ()))
+            resolved[key] = hit
+        return hit
 
     deps: dict[PackageId, tuple[DepClause, ...]] = {}
+    # keyed by id(), as in `_Pass`: one clause per input alternative object
+    shared: dict[int, DepClause] = {}
     conflicts: set[tuple[PackageId, PackageId]] = set()
     virtuals: set[PackageId] = set()
 
     for s in stanzas:
-        owner = PackageId(s.name, s.version)
+        owner = ids[(s.name, s.version)]
         clauses = []
         for alt in s.depends.conjuncts:
-            members = frozenset(p for ref in alt.refs for p in resolve(ref))
-            clauses.append(DepClause(members, label=alt.label()))
+            clause = shared.get(id(alt))
+            if clause is None:
+                members = frozenset().union(*[resolve(ref) for ref in alt.refs])
+                clause = shared[id(alt)] = DepClause(members, label=alt.label())
+            clauses.append(clause)
         deps[owner] = tuple(clauses)
         for ref in s.conflicts:
             for other in resolve(ref):
-                if other != owner:
+                if other is not owner:
                     conflicts.add(conflict_pair(owner, other))
         if s.is_virtual:
             virtuals.add(owner)
 
+    # `byname` lists each name's versions in canonical order already
     for versions in byname.values():
-        for a, b in combinations(versions, 2):
-            conflicts.add(conflict_pair(a, b))
+        conflicts.update(combinations(versions, 2))
 
     return Repository(
         packages=tuple(order),

@@ -111,19 +111,28 @@ class ClauseSet:
 
 
 def encode(repo: Repository) -> ClauseSet:
-    """Translate a repository into its clause set (without any query)."""
+    """Translate a repository into its clause set (without any query).
+
+    No clause repeats a literal, as `_Engine` requires.  A `DepClause`
+    shared by several packages (see `build_repository`) is sorted once.
+    """
     index = {pid: i + 1 for i, pid in enumerate(repo.packages)}
+    members_of: dict[int, list[int]] = {}  # by id(): `repo` holds every clause
     clauses: list[tuple[int, ...]] = []
     origins: list[ClauseOrigin] = []
-    for pid in repo.packages:
+    for var, pid in enumerate(repo.packages, 1):
         for clause in repo.deps.get(pid, ()):
-            lits = [-index[pid]] + sorted(index[m] for m in clause.members)
-            clauses.append(tuple(lits))
+            members = members_of.get(id(clause))
+            if members is None:
+                members = members_of[id(clause)] = sorted(index[m] for m in clause.members)
+            clauses.append((-var, *members))
             origins.append(DependencyEdge(pid, clause))
     for a, b in sorted(repo.conflicts, key=lambda pair: (index[pair[0]], index[pair[1]])):
         clauses.append((-index[a], -index[b]))
         origins.append(ConflictEdge((a, b)))
-    return ClauseSet(repo.packages, tuple(clauses), tuple(origins))
+    clause_set = ClauseSet(repo.packages, tuple(clauses), tuple(origins))
+    clause_set.__dict__["index"] = index  # primes the cached property
+    return clause_set
 
 
 class _Core:
@@ -154,11 +163,14 @@ class _Engine:
     blocking completion (see the module docstring) lies among the negative
     occurrences of a true variable, so decisions walk the true variables
     on the trail from `scan`.
+
+    No clause may repeat a literal; `encode` and `_shrink_edges` emit
+    none, and the counters would count a repeated literal twice.
     """
 
     def __init__(self, nvars: int, clauses: tuple[tuple[int, ...], ...]):
         self.nvars = nvars
-        self.clauses = [tuple(dict.fromkeys(c)) for c in clauses]
+        self.clauses = list(clauses)
         self.base_count = len(self.clauses)
         self.value = [0] * (self.nvars + 1)
         self.reason: list[int | None] = [None] * (self.nvars + 1)

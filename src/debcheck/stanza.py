@@ -117,66 +117,93 @@ _NAME = re.compile(r"\s*([^\s,|()]*)\s*")
 _CONSTRAINT = re.compile(r"\(\s*([<>=]*)\s*([^)]*)(\)?)\s*")
 
 
-def _parse_relations(text: str) -> tuple[tuple[Alternative, ...], int | None]:
-    """Parse a relation field; returns its alternatives and the offset of
-    its first '|' (None without one)."""
-    conjuncts: list[Alternative] = []
-    refs: list[ConstrainedRef] = []
-    bar = None
-    sep = ""
-    pos = 0
-    while True:
-        m = _NAME.match(text, pos)
-        name, pos = m.group(1), m.end()
-        if not name:
-            if pos < len(text):
-                raise DependencyParseError("expected a package name", pos)
-            if sep:
-                raise DependencyParseError(f"dangling {sep!r}", pos)
-            return (), None
-        # "any" and "native" architecture qualifiers name the package itself
-        base, colon, qualifier = name.rpartition(":")
-        if colon and qualifier in ("any", "native"):
-            name = base
-        if text.startswith("(", pos):
-            m = _CONSTRAINT.match(text, pos)
-            rel = _RELATION_ALIASES.get(m.group(1), m.group(1))
-            if rel not in RELATION_TOKENS:
-                raise DependencyParseError(f"unknown relation token {rel!r}", m.start(1))
-            version = m.group(2).strip()
-            if not version:
-                raise DependencyParseError("missing version in constraint", m.end(2))
-            if not m.group(3):
-                raise DependencyParseError("unbalanced parenthesis", m.end(2))
-            refs.append(ConstrainedRef(name, rel, version))
-            pos = m.end()
-        else:
-            refs.append(ConstrainedRef(name))
-        sep = text[pos:pos + 1]
-        if sep == "|":
-            if bar is None:
-                bar = pos
-        else:
-            conjuncts.append(Alternative(tuple(refs)))
-            refs = []
-            if not sep:
-                return tuple(conjuncts), bar
-            if sep != ",":
-                raise DependencyParseError(f"unexpected {sep!r}", pos + 1)
-        pos += 1
+class _RelationReader:
+    """Reads relation fields.  Equal references, and alternatives of the
+    same references, come back as one shared object each, so the reader
+    of one `parse_packages` call stores each of them once."""
+
+    def __init__(self) -> None:
+        self._refs: dict[tuple[str, str | None, str | None], ConstrainedRef] = {}
+        self._alternatives: dict[tuple[int, ...], Alternative] = {}
+
+    def _ref(self, name: str, relation: str | None, version: str | None) -> ConstrainedRef:
+        key = (name, relation, version)
+        ref = self._refs.get(key)
+        if ref is None:
+            ref = self._refs[key] = ConstrainedRef(name, relation, version)
+        return ref
+
+    def _alternative(self, refs: list[ConstrainedRef]) -> Alternative:
+        key = tuple(map(id, refs))  # each ref is the reader's own object
+        alt = self._alternatives.get(key)
+        if alt is None:
+            alt = self._alternatives[key] = Alternative(tuple(refs))
+        return alt
+
+    def relations(self, text: str) -> tuple[tuple[Alternative, ...], int | None]:
+        """Parse a relation field; returns its alternatives and the offset
+        of its first '|' (None without one)."""
+        conjuncts: list[Alternative] = []
+        refs: list[ConstrainedRef] = []
+        bar = None
+        sep = ""
+        pos = 0
+        while True:
+            m = _NAME.match(text, pos)
+            name, pos = m.group(1), m.end()
+            if not name:
+                if pos < len(text):
+                    raise DependencyParseError("expected a package name", pos)
+                if sep:
+                    raise DependencyParseError(f"dangling {sep!r}", pos)
+                return (), None
+            # "any" and "native" architecture qualifiers name the package itself
+            base, colon, qualifier = name.rpartition(":")
+            if colon and qualifier in ("any", "native"):
+                name = base
+            if text.startswith("(", pos):
+                m = _CONSTRAINT.match(text, pos)
+                rel = _RELATION_ALIASES.get(m.group(1), m.group(1))
+                if rel not in RELATION_TOKENS:
+                    raise DependencyParseError(f"unknown relation token {rel!r}", m.start(1))
+                version = m.group(2).strip()
+                if not version:
+                    raise DependencyParseError("missing version in constraint", m.end(2))
+                if not m.group(3):
+                    raise DependencyParseError("unbalanced parenthesis", m.end(2))
+                refs.append(self._ref(name, rel, version))
+                pos = m.end()
+            else:
+                refs.append(self._ref(name, None, None))
+            sep = text[pos:pos + 1]
+            if sep == "|":
+                if bar is None:
+                    bar = pos
+            else:
+                conjuncts.append(self._alternative(refs))
+                refs = []
+                if not sep:
+                    return tuple(conjuncts), bar
+                if sep != ",":
+                    raise DependencyParseError(f"unexpected {sep!r}", pos + 1)
+            pos += 1
+
+    def ref_list(self, text: str) -> tuple[ConstrainedRef, ...]:
+        """Parse a Conflicts-style field: comma-separated refs, no disjunction."""
+        conjuncts, bar = self.relations(text)
+        if bar is not None:
+            raise DependencyParseError("'|' is not allowed in this field", bar)
+        return tuple(alt.refs[0] for alt in conjuncts)
 
 
 def parse_dependency_field(text: str) -> DependencyExpression:
     """Parse a Depends-style field: comma-separated pipe-disjunctions."""
-    return DependencyExpression(_parse_relations(text)[0])
+    return DependencyExpression(_RelationReader().relations(text)[0])
 
 
 def parse_ref_list(text: str) -> tuple[ConstrainedRef, ...]:
     """Parse a Conflicts-style field: comma-separated refs, no disjunction."""
-    conjuncts, bar = _parse_relations(text)
-    if bar is not None:
-        raise DependencyParseError("'|' is not allowed in this field", bar)
-    return tuple(alt.refs[0] for alt in conjuncts)
+    return _RelationReader().ref_list(text)
 
 
 def render_dependency_field(expr: DependencyExpression) -> str:
@@ -228,11 +255,11 @@ def _split_stanzas(lines: Iterator[str]) -> Iterator[tuple[int, list[tuple[str, 
 
 
 def _strip_constraints(
-    field_name: str, text: str, warnings: list[str], context: str
+    reader: _RelationReader, field_name: str, text: str, warnings: list[str], context: str
 ) -> tuple[str, ...]:
     """Parse a name-list field, dropping any version constraints with a warning."""
     names = []
-    for ref in parse_ref_list(text):
+    for ref in reader.ref_list(text):
         if ref.constrained:
             warnings.append(
                 f"{context}: ignoring version constraint on {field_name} entry"
@@ -242,7 +269,9 @@ def _strip_constraints(
     return tuple(names)
 
 
-def _build_stanza(fields: list[tuple[str, str]], warnings: list[str]) -> PackageStanza:
+def _build_stanza(
+    fields: list[tuple[str, str]], warnings: list[str], reader: _RelationReader
+) -> PackageStanza:
     seen: dict[str, str] = {}
     for name, value in fields:
         if not name:
@@ -268,18 +297,18 @@ def _build_stanza(fields: list[tuple[str, str]], warnings: list[str]) -> Package
     for dep_field in _DEP_FIELDS:
         if dep_field in seen:
             try:
-                conjuncts.extend(parse_dependency_field(seen[dep_field]).conjuncts)
+                conjuncts.extend(reader.relations(seen[dep_field])[0])
             except DependencyParseError as exc:
                 raise StanzaParseAbort(f"bad {dep_field} field: {exc}") from exc
     try:
-        conflicts = parse_ref_list(seen["conflicts"]) if "conflicts" in seen else ()
+        conflicts = reader.ref_list(seen["conflicts"]) if "conflicts" in seen else ()
         provides = (
-            _strip_constraints("Provides", seen["provides"], warnings, context)
+            _strip_constraints(reader, "Provides", seen["provides"], warnings, context)
             if "provides" in seen
             else ()
         )
         replaces = (
-            _strip_constraints("Replaces", seen["replaces"], warnings, context)
+            _strip_constraints(reader, "Replaces", seen["replaces"], warnings, context)
             if "replaces" in seen
             else ()
         )
@@ -311,10 +340,11 @@ def parse_packages(source: str | bytes | IO | Iterable[str]) -> ParseResult:
     by_id: dict[tuple[str, str], PackageStanza] = {}
     errors: list[StanzaError] = []
     warnings: list[str] = []
+    reader = _RelationReader()
 
     for start, fields in _split_stanzas(iter_text_lines(source)):
         try:
-            stanza = _build_stanza(fields, warnings)
+            stanza = _build_stanza(fields, warnings, reader)
         except StanzaParseAbort as exc:
             errors.append(StanzaError(start, str(exc)))
             continue

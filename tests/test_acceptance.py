@@ -9,6 +9,8 @@ import random
 import time
 from itertools import combinations
 
+import pytest
+
 from debcheck.contents import CandidateStatus, classify_pairs, parse_contents, shared_file_pairs
 from debcheck.expand import (
     PackageId,
@@ -159,6 +161,7 @@ def test_criterion_3_rn_families():
     assert time.monotonic() - started < 10.0
 
 
+@pytest.mark.slow
 @criterion(4, "solver/brute-force oracle equivalence")
 def test_criterion_4_oracle_equivalence():
     started = time.monotonic()
@@ -189,6 +192,7 @@ def test_criterion_4_oracle_equivalence():
     assert elapsed < 120.0, f"oracle equivalence took {elapsed:.1f}s"
 
 
+@pytest.mark.slow  # replays what criterion 4 gathered
 @criterion(5, "explanations replay as non-installable")
 def test_criterion_5_explanation_validity():
     # deterministic cases so the criterion stands alone as well
@@ -239,6 +243,7 @@ def _synthetic_distribution(count=20000, seed=16042008):
     return "\n\n".join(blocks) + "\n"
 
 
+@pytest.mark.slow
 @criterion(6, "whole-repository check at distribution scale")
 def test_criterion_6_scale():
     text = _synthetic_distribution()

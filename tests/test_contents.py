@@ -5,11 +5,12 @@ from debcheck.contents import (
     CandidateStatus,
     ConflictCandidate,
     ContentsIndex,
+    _newest_version,
     classify_pairs,
     parse_contents,
     shared_file_pairs,
 )
-from debcheck.expand import PackageId, build_repository, expand
+from debcheck.expand import PackageId, build_repository, expand, package_sort_key
 from debcheck.solver import brute_force_check
 from debcheck.stanza import parse_packages
 
@@ -207,3 +208,20 @@ class TestClassifyPairs:
         pairs = [ConflictCandidate(("old", "other"), ("usr/x",))]
         result = classify_pairs(pairs, repo, parsed.stanzas)
         assert result.classified[0].status is CandidateStatus.NOT_COINSTALLABLE
+
+
+def test_newest_version_skips_a_same_name_virtual():
+    parsed = parse_packages(
+        "Package: x\nVersion: 2\n\n"
+        "Package: x\nVersion: 10\n\n"
+        "Package: x\nVersion: 3\n\n"
+        "Package: p\nVersion: 1\nProvides: x, y\n"
+    )
+    repo = build_repository(expand(parsed.stanzas))
+    assert [p.version for p in repo.versions_by_name["x"]] == ["virtual", "10", "3", "2"]
+    for name in ("x", "y", "p", "ghost"):
+        real = [p for p in repo.versions_by_name.get(name, []) if p not in repo.virtuals]
+        sorted_form = sorted(real, key=package_sort_key)[0] if real else None
+        assert _newest_version(repo, name) == sorted_form
+    assert _newest_version(repo, "x") == PackageId("x", "10")
+    assert _newest_version(repo, "y") is None

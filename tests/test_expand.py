@@ -1,4 +1,6 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,10 @@ from debcheck.expand import (
     expand_virtual_packages,
     render_stanzas,
 )
-from debcheck.solver import brute_force_check
+from debcheck.solver import DependencyEdge, brute_force_check, encode
 from debcheck.stanza import ConstrainedRef, PackageStanza, parse_dependency_field, parse_packages
 
-from conftest import direct_installable
+from conftest import CHAIN_SAMPLE, CONSTRAINT_SAMPLE, VIRTUAL_SAMPLE, direct_installable
 
 
 def stanzas_of(text):
@@ -284,3 +286,118 @@ def random_raw_stanzas(rng: random.Random) -> list[PackageStanza]:
             )
         )
     return stanzas
+
+
+def _render_origin(origin):
+    if isinstance(origin, DependencyEdge):
+        members = [(m.name, m.version) for m in origin.clause.sorted_members()]
+        return ("dep", origin.package.name, origin.package.version, members, origin.clause.label)
+    a, b = origin.pair
+    return ("conflict", a.name, a.version, b.name, b.version)
+
+
+def frontend_digest(stanzas: list[PackageStanza]) -> str:
+    """One digest of everything the front end makes of `stanzas`.
+
+    It covers both expansion passes (with their labels), the repository
+    built from them and from the raw stanzas (package order, each
+    clause's sorted members and label, sorted conflicts and virtuals),
+    and `encode`'s clauses and origins in order.
+    """
+
+    def repository_view(repo):
+        return (
+            [(p.name, p.version) for p in repo.packages],
+            [
+                ([(m.name, m.version) for m in clause.sorted_members()], clause.label)
+                for p in repo.packages
+                for clause in repo.deps[p]
+            ],
+            sorted((a.name, a.version, b.name, b.version) for a, b in repo.conflicts),
+            sorted((p.name, p.version) for p in repo.virtuals),
+        )
+
+    by_versions = expand_version_constraints(stanzas)
+    expanded = expand_virtual_packages(by_versions)
+    repo = build_repository(expanded)
+    clause_set = encode(repo)
+    view = (
+        repr(by_versions),
+        repr(expanded),
+        repository_view(repo),
+        repository_view(build_repository(stanzas)),
+        clause_set.clauses,
+        [_render_origin(o) for o in clause_set.origins],
+    )
+    return hashlib.sha256(repr(view).encode()).hexdigest()[:16]
+
+
+# real and virtual versions of one name, a bumped synthetic version, and
+# repeated references within one field
+_COEXIST_SAMPLE = """\
+Package: v
+Version: virtual
+
+Package: v
+Version: 2
+Provides: w
+Conflicts: v, w, x (<< 2)
+
+Package: q
+Version: 1
+Provides: v, x
+Depends: v | v (>= 1) | x, w | v, x (= 1) | x
+Conflicts: v (>= 1), v
+
+Package: x
+Version: 1
+Depends: q | v | q
+"""
+
+
+def frontend_inputs() -> dict[str, list[PackageStanza]]:
+    """The golden inputs: 300 seeded random distributions and the samples."""
+    inputs = {f"random-{seed}": random_raw_stanzas(random.Random(seed)) for seed in range(300)}
+    inputs["constraint-sample"] = stanzas_of(CONSTRAINT_SAMPLE)
+    inputs["virtual-sample"] = stanzas_of(VIRTUAL_SAMPLE)
+    inputs["chain-sample"] = stanzas_of(CHAIN_SAMPLE)
+    inputs["coexist-sample"] = stanzas_of(_COEXIST_SAMPLE)
+    return inputs
+
+
+def test_one_object_per_package():
+    """Every clause member, conflict end and virtual is the very object
+    that `packages` holds for its (name, version)."""
+    from test_acceptance import _synthetic_distribution  # it imports this module
+
+    inputs = frontend_inputs()
+    inputs["sample-3000"] = stanzas_of(_synthetic_distribution(count=3000))
+    for stanzas in inputs.values():
+        repo = build_repository(expand(stanzas))
+        canonical = {(p.name, p.version): p for p in repo.packages}
+        assert len(canonical) == len(repo.packages)
+        referenced = list(repo.deps)
+        referenced += [m for clauses in repo.deps.values() for c in clauses for m in c.members]
+        referenced += [p for pair in repo.conflicts for p in pair]
+        referenced += list(repo.virtuals)
+        for p in referenced:
+            assert p is canonical[(p.name, p.version)]
+
+
+_DIGESTS = Path(__file__).with_name("frontend_digests.txt")
+
+
+def test_front_end_matches_recorded_digests():
+    """Expansion, repository and encoding of every golden input are
+    exactly as recorded (`python tests/test_expand.py` rewrites them)."""
+    recorded = dict(line.split() for line in _DIGESTS.read_text().splitlines())
+    got = {key: frontend_digest(stanzas) for key, stanzas in frontend_inputs().items()}
+    assert got.keys() == recorded.keys()
+    drifted = [key for key in got if got[key] != recorded[key]]
+    assert not drifted, f"{len(drifted)} inputs drifted, first {drifted[:5]}"
+
+
+if __name__ == "__main__":
+    _DIGESTS.write_text(
+        "".join(f"{key} {frontend_digest(s)}\n" for key, s in frontend_inputs().items())
+    )

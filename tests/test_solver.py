@@ -27,7 +27,7 @@ from debcheck.solver import (
 )
 from debcheck.stanza import parse_packages
 
-from conftest import random_repository
+from conftest import CHAIN_SAMPLE, VIRTUAL_SAMPLE, random_repository
 from test_acceptance import _synthetic_distribution
 
 
@@ -259,6 +259,7 @@ def sample_3000():
     return repo_from(_synthetic_distribution(count=3000))
 
 
+@pytest.mark.slow
 class TestPureQueries:
     def test_explanations_depend_only_on_the_query(self, sample_3000):
         repo = sample_3000
@@ -433,6 +434,28 @@ class TestShrinking:
                     every.queried, list(every.dep_edges), list(every.conflict_edges)
                 )
         assert explained > 300 and dropped > 50  # the cores must actually shrink
+
+
+def test_no_engine_clause_repeats_a_literal(monkeypatch):
+    """The engine's precondition: neither `encode` nor `_shrink_edges`
+    hands it a clause with a repeated literal."""
+    built = []
+
+    class Recording(solver._Engine):
+        def __init__(self, nvars, clauses):
+            built.append(clauses)
+            super().__init__(nvars, clauses)
+
+    monkeypatch.setattr(solver, "_Engine", Recording)
+    rng = random.Random(7)
+    repos = [random_repository(rng, max_packages=10) for _ in range(60)]
+    repos += [repo_from(CHAIN_SAMPLE), repo_from(VIRTUAL_SAMPLE), generate_rn(4)]
+    for repo in repos:
+        check_all(repo)
+    assert len(built) > 2 * len(repos)  # explanations were shrunk as well
+    for clauses in built:
+        for clause in clauses:
+            assert len(set(clause)) == len(clause), clause
 
 
 class TestDeterminism:
