@@ -128,6 +128,7 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
         print(f"debcheck: cannot read input: {exc}", file=err)
         return 2
     repo, parsed, timings = _load_repository(text, err)
+    del text, parsed  # nothing reads the input or its stanzas again
     t0 = time.monotonic()
     checker = RepositoryChecker(repo)
     timings.expand += time.monotonic() - t0

@@ -51,34 +51,24 @@ _BRUTE_FORCE_LIMIT = 24
 
 @dataclass(frozen=True)
 class DependencyEdge:
-    """Clause origin: one dependency alternative of one package."""
+    """One dependency alternative of one package, as an explanation lists it."""
 
     package: PackageId
     clause: DepClause
 
 
-@dataclass(frozen=True)
-class ConflictEdge:
-    """Clause origin: one conflict pair."""
-
-    pair: tuple[PackageId, PackageId]
-
-
-@dataclass(frozen=True)
-class QueryAssumption:
-    """Clause origin: a package required true by the current query."""
-
-    package: PackageId
-
-
-ClauseOrigin = DependencyEdge | ConflictEdge | QueryAssumption
+#: What a clause encodes: a `DepClause` of the repository, owned by the
+#: package of the clause's negative literal; a conflict pair held in
+#: `Repository.conflicts`; or a package a query assumes installed.
+ClauseOrigin = DepClause | tuple[PackageId, PackageId] | PackageId
 
 
 @dataclass(frozen=True)
 class ClauseSet:
     """Immutable CNF encoding of a repository.
 
-    Variable i+1 corresponds to packages[i]; clause k carries origins[k].
+    Variable i+1 corresponds to packages[i]; clause k encodes origins[k],
+    the repository's own object (see `ClauseOrigin`).
     """
 
     packages: tuple[PackageId, ...]
@@ -98,8 +88,7 @@ class ClauseSet:
     def with_assumptions(self, pids: list[PackageId]) -> "ClauseSet":
         """Extend with one positive unit clause per queried package."""
         extra = tuple((self.var_of(p),) for p in pids)
-        marks = tuple(QueryAssumption(p) for p in pids)
-        return ClauseSet(self.packages, self.clauses + extra, self.origins + marks)
+        return ClauseSet(self.packages, self.clauses + extra, self.origins + tuple(pids))
 
     def to_dimacs(self) -> str:
         """DIMACS CNF text with a comment map from variables to packages."""
@@ -126,26 +115,25 @@ def encode(repo: Repository) -> ClauseSet:
             if members is None:
                 members = members_of[id(clause)] = sorted(index[m] for m in clause.members)
             clauses.append((-var, *members))
-            origins.append(DependencyEdge(pid, clause))
-    for a, b in sorted(repo.conflicts, key=lambda pair: (index[pair[0]], index[pair[1]])):
-        clauses.append((-index[a], -index[b]))
-        origins.append(ConflictEdge((a, b)))
+            origins.append(clause)
+    pairs = sorted(repo.conflicts, key=lambda pair: (index[pair[0]], index[pair[1]]))
+    clauses.extend((-index[a], -index[b]) for a, b in pairs)
+    origins.extend(pairs)
     clause_set = ClauseSet(repo.packages, tuple(clauses), tuple(origins))
     clause_set.__dict__["index"] = index  # primes the cached property
     return clause_set
 
 
 class _Core:
-    """Unsatisfiability evidence: base clauses used plus assumptions used.
+    """Unsatisfiability evidence: the base clauses used.
 
     `failed_var` is the assumption variable found impossible to hold.
     """
 
-    __slots__ = ("clause_ids", "assumption_vars", "failed_var")
+    __slots__ = ("clause_ids", "failed_var")
 
-    def __init__(self, clause_ids: set[int], assumption_vars: set[int], failed_var: int):
+    def __init__(self, clause_ids: set[int], failed_var: int):
         self.clause_ids = clause_ids
-        self.assumption_vars = assumption_vars
         self.failed_var = failed_var
 
 
@@ -477,7 +465,6 @@ class _Engine:
     def _final_core(self, failed_var: int) -> _Core:
         """Walk implication ancestors of a falsified assumption variable."""
         clause_ids: set[int] = set()
-        assumption_vars: set[int] = set()
         stack = [failed_var]
         visited = set()
         while stack:
@@ -487,7 +474,6 @@ class _Engine:
             visited.add(v)
             r = self.reason[v]
             if r is None:
-                assumption_vars.add(v)
                 continue
             if r in self.flat_bases:
                 clause_ids |= self.flat_bases[r]
@@ -497,7 +483,7 @@ class _Engine:
             for lit in self.clauses[r]:
                 if abs(lit) != v:
                     stack.append(abs(lit))
-        return _Core(clause_ids, assumption_vars, failed_var)
+        return _Core(clause_ids, failed_var)
 
 
 # -- results and explanations ---------------------------------------------
@@ -748,12 +734,14 @@ class RepositoryChecker:
     def _explain(self, queried: tuple[PackageId, ...], core: _Core) -> Explanation:
         dep_edges: list[DependencyEdge] = []
         conflict_edges: list[tuple[PackageId, PackageId]] = []
+        clause_set = self.clause_set
         for ci in sorted(core.clause_ids):
-            origin = self.clause_set.origins[ci]
-            if isinstance(origin, DependencyEdge):
-                dep_edges.append(origin)
-            elif isinstance(origin, ConflictEdge):
-                conflict_edges.append(origin.pair)
+            origin = clause_set.origins[ci]
+            if isinstance(origin, DepClause):
+                owner = clause_set.package_of(-clause_set.clauses[ci][0])
+                dep_edges.append(DependencyEdge(owner, origin))
+            else:  # cores hold base clauses only, so this is a conflict pair
+                conflict_edges.append(origin)
 
         raw = Explanation(queried, tuple(dep_edges), tuple(conflict_edges), ())
         if len(raw.mentioned_packages()) <= _SHRINK_LIMIT:
@@ -867,7 +855,7 @@ def _clean_cones(
     succ: list[list[int]] = [[] for _ in range(n + 1)]
     rivals: list[list[int]] = [[] for _ in range(n + 1)]
     for clause, origin in zip(clause_set.clauses, clause_set.origins):
-        if isinstance(origin, DependencyEdge):
+        if isinstance(origin, DepClause):
             succ[-clause[0]].extend(m for m in clause[1:] if m not in doomed)
         else:
             rivals[-clause[0]].append(-clause[1])

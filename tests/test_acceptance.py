@@ -7,7 +7,7 @@ verdict printed per criterion.
 import functools
 import random
 import time
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -18,6 +18,7 @@ from debcheck.expand import (
     expand,
     expand_version_constraints,
 )
+from debcheck.model import generate_rn
 from debcheck.solver import (
     brute_force_check,
     check_all,
@@ -58,8 +59,27 @@ def stanzas_of(text):
     return result.stanzas
 
 
-# results gathered by criteria 3 and 4 and replayed by criterion 5
-_NOT_INSTALLABLE = []
+def rn_family(n):
+    """R_n and its group a1..an, co-installable only short of the whole."""
+    return generate_rn(n), [pid(f"a{i}") for i in range(1, n + 1)]
+
+
+def oracle_queries():
+    """The same (repository, query) pairs in every run: each package of a
+    random repository alone, then two pairs or triples from it, until
+    1000 repositories and 500 pairs or triples have been asked about."""
+    rng = random.Random(20040601)
+    repos = pair_triple_queries = 0
+    while repos < 1000 or pair_triple_queries < 500:
+        repo = random_repository(rng, max_packages=12)
+        repos += 1
+        for target in repo.packages:
+            yield repo, frozenset({target})
+        for _ in range(2):
+            if len(repo.packages) < 3:
+                continue
+            yield repo, frozenset(rng.sample(list(repo.packages), rng.choice([2, 3])))
+            pair_triple_queries += 1
 
 
 @criterion(1, "worked-example expansion is exact")
@@ -143,12 +163,9 @@ def test_criterion_2_worked_repository():
 
 @criterion(3, "growing minimal non-co-installable families")
 def test_criterion_3_rn_families():
-    from debcheck.model import generate_rn
-
     started = time.monotonic()
     for n in range(2, 7):
-        repo = generate_rn(n)
-        group = [pid(f"a{i}") for i in range(1, n + 1)]
+        repo, group = rn_family(n)
         for size in range(1, n):
             for subset in map(frozenset, combinations(group, size)):
                 assert check_coinstallable(repo, subset).installable
@@ -157,7 +174,6 @@ def test_criterion_3_rn_families():
         verdict = check_coinstallable(repo, full)
         assert not verdict.installable
         assert not brute_force_check(repo, full)
-        _NOT_INSTALLABLE.append((repo, full, verdict))
     assert time.monotonic() - started < 10.0
 
 
@@ -165,44 +181,38 @@ def test_criterion_3_rn_families():
 @criterion(4, "solver/brute-force oracle equivalence")
 def test_criterion_4_oracle_equivalence():
     started = time.monotonic()
-    rng = random.Random(20040601)
+    repos = []
     pair_triple_queries = 0
-    repos = 0
-    while repos < 1000 or pair_triple_queries < 500:
-        repo = random_repository(rng, max_packages=12)
-        repos += 1
-        for target in repo.packages:
-            want = brute_force_check(repo, frozenset({target}))
+    for repo, group in oracle_queries():
+        if not repos or repo is not repos[-1]:
+            repos.append(repo)
+        want = brute_force_check(repo, group)
+        if len(group) == 1:
+            (target,) = group
             got = check_installable(repo, target)
-            assert got.installable == want
-            if not got.installable:
-                _NOT_INSTALLABLE.append((repo, frozenset({target}), got))
-        for _ in range(2):
-            if len(repo.packages) < 3:
-                continue
-            group = frozenset(rng.sample(list(repo.packages), rng.choice([2, 3])))
-            want = brute_force_check(repo, group)
+        else:
             got = check_coinstallable(repo, group)
-            assert got.installable == want
             pair_triple_queries += 1
-            if not got.installable:
-                _NOT_INSTALLABLE.append((repo, group, got))
+        assert got.installable == want
     elapsed = time.monotonic() - started
-    assert repos >= 1000 and pair_triple_queries >= 500
+    assert len(repos) >= 1000 and pair_triple_queries >= 500
     assert elapsed < 120.0, f"oracle equivalence took {elapsed:.1f}s"
 
 
-@pytest.mark.slow  # replays what criterion 4 gathered
 @criterion(5, "explanations replay as non-installable")
 def test_criterion_5_explanation_validity():
-    # deterministic cases so the criterion stands alone as well
     chain_repo = build_repository(expand(stanzas_of(CHAIN_SAMPLE)))
-    standalone = check_installable(chain_repo, pid("camping", "1.5+svn242-1"))
-    cases = [(chain_repo, frozenset({pid("camping", "1.5+svn242-1")}), standalone)]
-    cases.extend(_NOT_INSTALLABLE)
-
-    assert len(cases) > 50  # criteria 3 and 4 must have contributed
-    for _, queried, result in cases:
+    queries = chain(
+        [(chain_repo, frozenset({pid("camping", "1.5+svn242-1")}))],
+        ((repo, frozenset(group)) for repo, group in map(rn_family, range(2, 7))),
+        oracle_queries(),
+    )
+    cases = 0
+    for repo, queried in queries:
+        result = check_coinstallable(repo, queried)
+        if result.installable:
+            continue
+        cases += 1
         explanation = result.explanation
         assert explanation is not None
         induced = explanation.induced_repository()
@@ -210,6 +220,7 @@ def test_criterion_5_explanation_validity():
             continue
         assert queried <= induced.package_set
         assert not brute_force_check(induced, queried)
+    assert cases > 50
 
 
 def _synthetic_distribution(count=20000, seed=16042008):

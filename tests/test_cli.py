@@ -1,11 +1,15 @@
+import gc
 import io
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debcheck import cli
 from debcheck.cli import main
+from debcheck.solver import RepositoryChecker
 
 from conftest import CHAIN_SAMPLE, CONSTRAINT_SAMPLE, VIRTUAL_SAMPLE
 from test_contents import FIXTURE_CONTENTS, FIXTURE_PACKAGES
@@ -49,6 +53,29 @@ class TestCheckCommand:
         assert all(p >= 0 for p in positions)
         assert positions == sorted(positions)
         assert "{NOT AVAILABLE}" in out
+
+    def test_parse_output_freed_before_the_search(self, sample_file, capsys, monkeypatch):
+        """Nothing reads the stanzas once the repository is built, so they
+        must not stay alive through `check_all`."""
+        parse, check_all = cli.parse_packages, RepositoryChecker.check_all
+        parsed = []
+        alive_at_search = []
+
+        def recording_parse(text):
+            result = parse(text)
+            parsed.append(weakref.ref(result))
+            return result
+
+        def probing_check_all(self, explain=True):
+            gc.collect()
+            alive_at_search.append(parsed[0]() is not None)
+            return check_all(self, explain)
+
+        monkeypatch.setattr(cli, "parse_packages", recording_parse)
+        monkeypatch.setattr(RepositoryChecker, "check_all", probing_check_all)
+        code, _, _ = run([sample_file(CHAIN_SAMPLE)], capsys)
+        assert code == 1
+        assert alive_at_search == [False]
 
     def test_empty_input(self, sample_file, capsys):
         code, out, _ = run([sample_file("")], capsys)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from debcheck.expand import (
+    DepClause,
     PackageId,
     Repository,
     RepositoryError,
@@ -15,7 +16,7 @@ from debcheck.expand import (
     expand_virtual_packages,
     render_stanzas,
 )
-from debcheck.solver import DependencyEdge, brute_force_check, encode
+from debcheck.solver import brute_force_check, encode
 from debcheck.stanza import ConstrainedRef, PackageStanza, parse_dependency_field, parse_packages
 
 from conftest import CHAIN_SAMPLE, CONSTRAINT_SAMPLE, VIRTUAL_SAMPLE, direct_installable
@@ -288,11 +289,12 @@ def random_raw_stanzas(rng: random.Random) -> list[PackageStanza]:
     return stanzas
 
 
-def _render_origin(origin):
-    if isinstance(origin, DependencyEdge):
-        members = [(m.name, m.version) for m in origin.clause.sorted_members()]
-        return ("dep", origin.package.name, origin.package.version, members, origin.clause.label)
-    a, b = origin.pair
+def _render_origin(clause_set, clause, origin):
+    if isinstance(origin, DepClause):
+        owner = clause_set.package_of(-clause[0])
+        members = [(m.name, m.version) for m in origin.sorted_members()]
+        return ("dep", owner.name, owner.version, members, origin.label)
+    a, b = origin
     return ("conflict", a.name, a.version, b.name, b.version)
 
 
@@ -327,7 +329,7 @@ def frontend_digest(stanzas: list[PackageStanza]) -> str:
         repository_view(repo),
         repository_view(build_repository(stanzas)),
         clause_set.clauses,
-        [_render_origin(o) for o in clause_set.origins],
+        [_render_origin(clause_set, c, o) for c, o in zip(clause_set.clauses, clause_set.origins)],
     )
     return hashlib.sha256(repr(view).encode()).hexdigest()[:16]
 

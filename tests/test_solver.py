@@ -15,10 +15,8 @@ from debcheck.expand import (
 from debcheck import solver
 from debcheck.model import check_health, generate_rn
 from debcheck.solver import (
-    ConflictEdge,
     DependencyEdge,
     Explanation,
-    QueryAssumption,
     brute_force_check,
     check_all,
     check_coinstallable,
@@ -29,6 +27,7 @@ from debcheck.stanza import parse_packages
 
 from conftest import CHAIN_SAMPLE, VIRTUAL_SAMPLE, random_repository
 from test_acceptance import _synthetic_distribution
+from test_expand import frontend_inputs
 
 
 def pid(name, version="1"):
@@ -79,23 +78,32 @@ class TestEncode:
         cs = encode(repo)
         assert cs.clauses == ()
 
-    def test_clause_origin_invariants(self, constraint_sample):
-        cs = encode(repo_from(constraint_sample))
-        assert len(cs.origins) == len(cs.clauses)
-        for clause, origin in zip(cs.clauses, cs.origins):
-            negatives = [l for l in clause if l < 0]
-            if isinstance(origin, DependencyEdge):
-                assert len(negatives) == 1
-                assert cs.package_of(-negatives[0]) == origin.package
-            else:
-                assert isinstance(origin, ConflictEdge)
-                assert len(clause) == 2 and len(negatives) == 2
+    def test_clause_origin_invariants(self, sample_3000):
+        """Each origin is the repository's own object, and its clause is
+        exactly what that object encodes."""
+        repos = [build_repository(expand(stanzas)) for stanzas in frontend_inputs().values()]
+        for repo in repos + [sample_3000]:
+            cs = encode(repo)
+            assert len(cs.origins) == len(cs.clauses)
+            pairs = {id(pair) for pair in repo.conflicts}
+            seen_pairs = set()
+            for clause, origin in zip(cs.clauses, cs.origins):
+                if isinstance(origin, DepClause):
+                    owner = cs.package_of(-clause[0])
+                    assert any(origin is c for c in repo.deps[owner])
+                    assert sorted(cs.var_of(m) for m in origin.members) == list(clause[1:])
+                else:
+                    assert id(origin) in pairs
+                    a, b = origin
+                    assert clause == (-cs.var_of(a), -cs.var_of(b))
+                    seen_pairs.add(id(origin))
+            assert seen_pairs == pairs
 
     def test_assumptions_become_unit_clauses(self):
         repo = make_repo("ab", {}, [])
         cs = encode(repo).with_assumptions([pid("a")])
         assert cs.clauses[-1] == (cs.var_of(pid("a")),)
-        assert cs.origins[-1] == QueryAssumption(pid("a"))
+        assert cs.origins[-1] == pid("a")
 
     def test_dimacs_dump(self):
         repo = make_repo("ab", {"a": [["b"]]}, [])
