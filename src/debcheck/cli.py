@@ -156,7 +156,9 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
     timings.solve = time.monotonic() - t0
     print(f"Checking packages... {timings.solve:.1f} seconds", file=err)
 
-    ordered = [(pid, results[pid]) for pid in sorted(results, key=package_sort_key)]
+    # `check_all` answers in repository order, `--check` in selection order,
+    # and both are the canonical package order
+    ordered = list(results.items())
     summary = summarize(results)
 
     if args.format == "json":
@@ -311,26 +313,20 @@ def run_aggregate(argv: list[str], out: IO, err: IO) -> int:
     architecture carrying them.
     """
     args = _aggregate_parser().parse_args(argv)
-    reports = []
-    for path in args.reports:
+    present: dict[str, set[str]] = {}
+    broken: dict[str, set[str]] = {}
+    for i, path in enumerate(args.reports):
         try:
-            reports.append(_read_report(path))
+            architecture, entries = _read_report(path)
+            label = architecture or f"report{i + 1}"
+            if label in present:
+                raise ValueError(f"duplicate architecture {label}")
         except (OSError, ValueError) as exc:
             print(f"debcheck: cannot read report {path}: {exc}", file=err)
             return 2
-
-    present: dict[str, set[str]] = {}
-    broken: dict[str, set[str]] = {}
-    labels = []
-    for i, (architecture, entries) in enumerate(reports):
-        label = architecture or f"report{i + 1}"
-        labels.append(label)
-        present[label] = set()
-        broken[label] = set()
-        for name, installable in entries:
-            present[label].add(name)
-            if not installable:
-                broken[label].add(name)
+        present[label] = {name for name, _ in entries}
+        broken[label] = {name for name, installable in entries if not installable}
+    labels = list(present)
 
     all_names = set().union(*present.values()) if present else set()
     some = sorted(name for name in all_names if any(name in broken[l] for l in labels))

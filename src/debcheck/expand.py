@@ -32,7 +32,7 @@ from .stanza import (
     DependencyExpression,
     PackageStanza,
 )
-from .version import satisfies, version_cmp
+from .version import satisfies, version_cmp, version_sort_key
 
 #: Version string given to synthesized virtual packages.
 VIRTUAL_VERSION = "virtual"
@@ -53,10 +53,14 @@ class PackageId:
 
 
 def _id_cmp(a: PackageId, b: PackageId) -> int:
-    """Deterministic package order: name ascending, version descending."""
+    """Total package order: name ascending, version descending, and two
+    versions that dpkg calls equal (`1.0`, `1.00`) by their strings."""
     if a.name != b.name:
         return -1 if a.name < b.name else 1
-    return -version_cmp(a.version, b.version)
+    c = version_cmp(a.version, b.version)
+    if c:
+        return -c
+    return (a.version > b.version) - (a.version < b.version)
 
 
 #: sort() key for the canonical package order used everywhere downstream.
@@ -149,9 +153,8 @@ def _available_versions(stanzas: Iterable[PackageStanza]) -> dict[str, list[str]
         versions.setdefault(s.name, [])
         if s.version not in versions[s.name]:
             versions[s.name].append(s.version)
-    key = cmp_to_key(version_cmp)
     for name in versions:
-        versions[name].sort(key=key, reverse=True)
+        versions[name].sort(key=version_sort_key, reverse=True)
     return versions
 
 

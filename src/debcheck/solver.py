@@ -124,19 +124,6 @@ def encode(repo: Repository) -> ClauseSet:
     return clause_set
 
 
-class _Core:
-    """Unsatisfiability evidence: the base clauses used.
-
-    `failed_var` is the assumption variable found impossible to hold.
-    """
-
-    __slots__ = ("clause_ids", "failed_var")
-
-    def __init__(self, clause_ids: set[int], failed_var: int):
-        self.clause_ids = clause_ids
-        self.failed_var = failed_var
-
-
 class _Engine:
     """Reusable CDCL search over one clause set.
 
@@ -170,10 +157,8 @@ class _Engine:
         self.occ_neg: list[list[int]] = [[] for _ in range(self.nvars + 1)]
         self.n_true = [0] * self.base_count
         self.pending: deque[int] = deque()
-        # learned-clause derivations, flattened to base clause ids and the
-        # level-0 variables resolved away (their reason chains complete a core)
-        self.flat_bases: dict[int, frozenset[int]] = {}
-        self.flat_zeros: dict[int, frozenset[int]] = {}
+        # learned clause id -> the base clause ids of its derivation
+        self.flat_bases: dict[int, set[int]] = {}
 
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
@@ -314,23 +299,24 @@ class _Engine:
 
     # -- learning --------------------------------------------------------
 
-    def _analyze(self, confl: int) -> tuple[list[int], int, set[int], set[int]]:
+    def _analyze(self, confl: int) -> tuple[list[int], int, set[int]]:
         """First-UIP conflict analysis.
 
         Returns the learned clause (asserting literal first), the backjump
-        level, the flattened base-clause ids of its derivation, and the
-        level-0 variables resolved away during it.
+        level, and the base clause ids of its derivation.  Those include
+        the reason chains of the level-0 variables it resolves away: level
+        0 is never undone within a solve, so the chains stay as they are.
         """
         learned: list[int] = [0]
         seen = set()
-        bases: set[int] = set()
-        zeros: set[int] = set()
+        flat = self.flat_bases
+        bases = set(flat.get(confl, (confl,)))
+        zeros: list[int] = []
         counter = 0
         current = len(self.trail_lim)
         idx = len(self.trail) - 1
         p: int | None = None
         reason_clause = self.clauses[confl]
-        self._absorb_derivation(confl, bases, zeros)
 
         while True:
             for q in reason_clause:
@@ -342,7 +328,7 @@ class _Engine:
                 seen.add(v)
                 lv = self.level[v]
                 if lv == 0:
-                    zeros.add(v)
+                    zeros.append(v)
                 elif lv == current:
                     counter += 1
                 else:
@@ -356,7 +342,7 @@ class _Engine:
                 learned[0] = -p
                 break
             r = self.reason[abs(p)]
-            self._absorb_derivation(r, bases, zeros)
+            bases.update(flat.get(r, (r,)))
             reason_clause = self.clauses[r]
 
         backjump = 0
@@ -364,16 +350,28 @@ class _Engine:
             lv = self.level[abs(q)]
             if lv > backjump:
                 backjump = lv
-        return learned, backjump, bases, zeros
+        return learned, backjump, bases | self._support(zeros)
 
-    def _absorb_derivation(self, ci: int, bases: set[int], zeros: set[int]) -> None:
-        if ci in self.flat_bases:
-            bases |= self.flat_bases[ci]
-            zeros |= self.flat_zeros[ci]
-        else:
-            bases.add(ci)
+    def _support(self, variables: Iterable[int]) -> set[int]:
+        """The base clause ids that the assignments of `variables` rest on:
+        the reasons of everything they follow from, each learned reason
+        standing for its derivation."""
+        bases: set[int] = set()
+        stack = list(variables)
+        visited = set()
+        while stack:
+            v = stack.pop()
+            if v in visited:
+                continue
+            visited.add(v)
+            r = self.reason[v]
+            if r is None:
+                continue
+            bases.update(self.flat_bases.get(r, (r,)))
+            stack.extend(abs(lit) for lit in self.clauses[r] if abs(lit) != v)
+        return bases
 
-    def _add_learned(self, lits: list[int], bases: set[int], zeros: set[int]) -> int:
+    def _add_learned(self, lits: list[int], bases: set[int]) -> int:
         ci = len(self.clauses)
         self.clauses.append(tuple(lits))
         self.n_true.append(sum(1 for l in lits if self.value[abs(l)] == (1 if l > 0 else -1)))
@@ -382,8 +380,7 @@ class _Engine:
                 self.occ_pos[lit].append(ci)
             else:
                 self.occ_neg[-lit].append(ci)
-        self.flat_bases[ci] = frozenset(bases)
-        self.flat_zeros[ci] = frozenset(zeros)
+        self.flat_bases[ci] = bases
         return ci
 
     def _cleanup(self) -> None:
@@ -395,7 +392,6 @@ class _Engine:
                 (self.occ_pos[lit] if lit > 0 else self.occ_neg[-lit]).pop()
         del self.clauses[base:], self.n_true[base:]
         self.flat_bases.clear()
-        self.flat_zeros.clear()
         if len(self.trail) > self.base_trail_len:
             self.value[:] = self.base_value
             self.n_true[:] = self.base_n_true
@@ -406,11 +402,12 @@ class _Engine:
 
     # -- the search ------------------------------------------------------
 
-    def solve(self, assumptions: list[int]) -> tuple[bool, frozenset[int] | _Core]:
+    def solve(self, assumptions: list[int]) -> tuple[bool, frozenset[int] | set[int]]:
         """Decide the base formula under positive unit assumptions.
 
-        Returns (True, true variable set) or (False, core).  The engine is
-        back in its base state afterwards.
+        Returns (True, true variable set) or (False, the base clause ids of
+        an unsatisfiable core).  The engine is back in its base state
+        afterwards.
         """
         try:
             while True:
@@ -418,9 +415,9 @@ class _Engine:
                 if conflict is not None:
                     if not self.trail_lim:
                         raise RuntimeError("conflict at level 0; encoding bug")
-                    lits, backjump, bases, zeros = self._analyze(conflict)
+                    lits, backjump, bases = self._analyze(conflict)
                     self._backtrack(backjump)
-                    ci = self._add_learned(lits, bases, zeros)
+                    ci = self._add_learned(lits, bases)
                     conflict = self._assign(lits[0], ci)
                     if conflict is not None and not self.trail_lim:
                         raise RuntimeError("conflict at level 0; encoding bug")
@@ -433,7 +430,7 @@ class _Engine:
                     lit = assumptions[depth]
                     state = self.value[abs(lit)]
                     if state == -1:
-                        return False, self._final_core(abs(lit))
+                        return False, self._support((abs(lit),))
                     self.trail_lim.append(len(self.trail))
                     if state == 0:
                         conflict = self._assign(lit, None)
@@ -461,29 +458,6 @@ class _Engine:
                 self.value[l] == 1 if l > 0 else self.value[-l] != 1 for l in clause
             )
             assert sat, "partial model does not extend with all-false"
-
-    def _final_core(self, failed_var: int) -> _Core:
-        """Walk implication ancestors of a falsified assumption variable."""
-        clause_ids: set[int] = set()
-        stack = [failed_var]
-        visited = set()
-        while stack:
-            v = stack.pop()
-            if v in visited:
-                continue
-            visited.add(v)
-            r = self.reason[v]
-            if r is None:
-                continue
-            if r in self.flat_bases:
-                clause_ids |= self.flat_bases[r]
-                stack.extend(self.flat_zeros[r])
-            else:
-                clause_ids.add(r)
-            for lit in self.clauses[r]:
-                if abs(lit) != v:
-                    stack.append(abs(lit))
-        return _Core(clause_ids, failed_var)
 
 
 # -- results and explanations ---------------------------------------------
@@ -623,37 +597,33 @@ def _render_chains(
     return tuple(chains)
 
 
-def _shrink_edges(
-    core: Explanation,
-) -> tuple[list[DependencyEdge], list[tuple[PackageId, PackageId]]]:
-    """Greedily drop edges while the kept ones still rule the query out.
+def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int]) -> list[int]:
+    """Greedily drop the clauses of `core` in turn while the kept ones
+    still rule the query out; returns the kept clause ids.
 
-    One engine decides every trial: with the explanation's packages as
-    variables 1..n, edge k is its clause plus the selector literal
-    -(n+1+k), and a trial assumes the selectors of the edges it keeps.
-    A package that no kept edge mentions occurs only negatively and can
-    stay uninstalled, so each verdict is that on `induced_repository`.
+    One engine decides every trial: with the variables the core and the
+    query mention renumbered 1..n in order, core clause k gets the
+    selector literal -(n+1+k), and a trial assumes the selectors of the
+    clauses it keeps.  A package that no kept clause mentions occurs only
+    negatively and can stay uninstalled, so each verdict is that on
+    `Explanation.induced_repository`.
     """
-    packages = sorted(core.mentioned_packages(), key=package_sort_key)
-    index = {pid: i + 1 for i, pid in enumerate(packages)}
-    n = len(packages)
-    edges = [(-index[e.package], *sorted(index[m] for m in e.clause.members))
-             for e in core.dep_edges]
-    edges += [(-index[a], -index[b]) for a, b in core.conflict_edges]
-    clauses = [(*lits, -(n + 1 + k)) for k, lits in enumerate(edges)]
+    clauses = [clause_set.clauses[ci] for ci in core]
+    variables = sorted({abs(lit) for clause in clauses for lit in clause}.union(query_vars))
+    index = {v: i for i, v in enumerate(variables, 1)}
+    n = len(variables)
+    trial = [(*(index[l] if l > 0 else -index[-l] for l in clause), -(n + 1 + k))
+             for k, clause in enumerate(clauses)]
     # same-name versions conflict in every trial, as in the induced repository
-    clauses += [(-index[a], -index[b]) for a, b in combinations(packages, 2) if a.name == b.name]
-    engine = _Engine(n + len(edges), tuple(clauses))
-    query = sorted(index[p] for p in core.queried)
-    kept = set(range(len(edges)))
-    for k in range(len(edges)):
+    names = [clause_set.package_of(v).name for v in variables]
+    trial += [(-i, -j) for i, j in combinations(range(1, n + 1), 2) if names[i - 1] == names[j - 1]]
+    engine = _Engine(n + len(core), tuple(trial))
+    query = sorted(index[v] for v in query_vars)
+    kept = set(range(len(core)))
+    for k in range(len(core)):
         if not engine.solve(query + [n + 1 + j for j in sorted(kept - {k})])[0]:
             kept.discard(k)
-    split = len(core.dep_edges)
-    return (
-        [e for k, e in enumerate(core.dep_edges) if k in kept],
-        [e for k, e in enumerate(core.conflict_edges, split) if k in kept],
-    )
+    return [ci for k, ci in enumerate(core) if k in kept]
 
 
 class RepositoryChecker:
@@ -716,44 +686,35 @@ class RepositoryChecker:
             results[pid] = self.query([pid], explain) if group is None else shared[group]
         return results
 
-    def _probe(
-        self, pids: list[PackageId]
-    ) -> tuple[frozenset[PackageId] | None, PackageId | None]:
-        """Bare group query: (witness, None) or (None, failed package).
+    def _probe(self, pids: list[PackageId]) -> CheckResult:
+        """`query` without an explanation.  The package itself does not call
+        it; `bench/tracer.py` wraps it by name for its `solver.probe_calls`
+        metric, so it stays until the tracer reads counters kept by the
+        program instead."""
+        return self.query(pids, explain=False)
 
-        The package itself does not call it.  `bench/tracer.py` wraps it by
-        name for its `solver.probe_calls` metric, so it stays until the
-        tracer reads counters kept by the program instead.
-        """
-        assumptions = sorted(self.clause_set.var_of(p) for p in pids)
-        sat, payload = self._engine.solve(assumptions)
-        if sat:
-            return frozenset(self.clause_set.package_of(v) for v in payload), None
-        return None, self.clause_set.package_of(payload.failed_var)
+    def _explain(self, queried: tuple[PackageId, ...], core: set[int]) -> Explanation:
+        """The explanation of an unsatisfiable core given as base clause
+        ids: shrunk when it mentions at most `_SHRINK_LIMIT` packages, then
+        turned into edges in clause order (dependency clauses first)."""
+        clause_set = self.clause_set
+        clauses = clause_set.clauses
+        query_vars = sorted(clause_set.var_of(p) for p in queried)
+        kept = sorted(core)
+        mentioned = {abs(lit) for ci in kept for lit in clauses[ci]}.union(query_vars)
+        if len(mentioned) <= _SHRINK_LIMIT:
+            kept = _shrink_edges(clause_set, query_vars, kept)
 
-    def _explain(self, queried: tuple[PackageId, ...], core: _Core) -> Explanation:
         dep_edges: list[DependencyEdge] = []
         conflict_edges: list[tuple[PackageId, PackageId]] = []
-        clause_set = self.clause_set
-        for ci in sorted(core.clause_ids):
+        for ci in kept:
             origin = clause_set.origins[ci]
             if isinstance(origin, DepClause):
-                owner = clause_set.package_of(-clause_set.clauses[ci][0])
-                dep_edges.append(DependencyEdge(owner, origin))
+                dep_edges.append(DependencyEdge(clause_set.package_of(-clauses[ci][0]), origin))
             else:  # cores hold base clauses only, so this is a conflict pair
                 conflict_edges.append(origin)
-
-        raw = Explanation(queried, tuple(dep_edges), tuple(conflict_edges), ())
-        if len(raw.mentioned_packages()) <= _SHRINK_LIMIT:
-            dep_edges, conflict_edges = _shrink_edges(raw)
-
         chains = _render_chains(queried, tuple(dep_edges), tuple(conflict_edges))
-        return Explanation(
-            queried=queried,
-            dep_edges=tuple(dep_edges),
-            conflict_edges=tuple(conflict_edges),
-            chains=chains,
-        )
+        return Explanation(queried, tuple(dep_edges), tuple(conflict_edges), chains)
 
 
 def check_installable(repo: Repository, pkg: PackageId) -> CheckResult:
@@ -765,10 +726,7 @@ def check_installable(repo: Repository, pkg: PackageId) -> CheckResult:
 
 def check_coinstallable(repo: Repository, pkgs: frozenset[PackageId]) -> CheckResult:
     """Decide whether all of `pkgs` fit into one healthy installation."""
-    pkgs = frozenset(pkgs)
-    if not pkgs:
-        raise ValueError("query set must be non-empty")
-    return RepositoryChecker(repo).query(sorted(pkgs, key=package_sort_key))
+    return RepositoryChecker(repo).query(list(pkgs))
 
 
 def check_all(repo: Repository, explain: bool = True) -> dict[PackageId, CheckResult]:

@@ -302,6 +302,22 @@ class TestAggregateCommand:
         assert code == 2
         assert "cannot read report" in err
 
+    @pytest.mark.parametrize(
+        "architectures", [("amd64", "amd64", "i386"), (None, "report1"), ("report2", None)]
+    )
+    def test_repeated_architecture_exits_two(self, tmp_path, capsys, architectures):
+        """A repeated label (a null architecture is labelled `reportN`)
+        would merge two reports into one row."""
+        paths = [
+            self.make_report(tmp_path, f"{i}.json", architecture, {"a": i > 0})
+            for i, architecture in enumerate(architectures)
+        ]
+        code, out, err = run(["aggregate", *paths], capsys)
+        assert code == 2
+        assert out == ""
+        label = architectures[0] or "report1"
+        assert err == f"debcheck: cannot read report {paths[1]}: duplicate architecture {label}\n"
+
     def test_malformed_report_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"results": [{"version": "1", "installable": False}]}))

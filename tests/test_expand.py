@@ -1,9 +1,13 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import debcheck
 from debcheck.expand import (
     DepClause,
     PackageId,
@@ -16,6 +20,7 @@ from debcheck.expand import (
     expand_virtual_packages,
     render_stanzas,
 )
+from debcheck.model import check_health
 from debcheck.solver import brute_force_check, encode
 from debcheck.stanza import ConstrainedRef, PackageStanza, parse_dependency_field, parse_packages
 
@@ -236,6 +241,44 @@ class TestBuildRepository:
             stanzas_of("Package: p\nVersion: 1\nConflicts: ghost\n")
         )
         assert repo.conflicts == frozenset()
+
+
+_EQUAL_VERSIONS = """\
+Package: x
+Version: 1.0
+
+Package: x
+Version: 1.00
+
+Package: y
+Version: 1
+Depends: x (= 1.0)
+Conflicts: x (= 1.00)
+"""
+
+
+def test_versions_that_dpkg_calls_equal_are_ordered_by_their_strings(tmp_path):
+    """`1.0` and `1.00` are equal to dpkg, yet the package order puts one
+    first, the same under every hash seed."""
+    a, b = PackageId("x", "1.0"), PackageId("x", "1.00")
+    assert conflict_pair(a, b) == conflict_pair(b, a) == (a, b)
+    repo = build_repository(expand(stanzas_of(_EQUAL_VERSIONS)))
+    assert repo.packages[:2] == (a, b)
+    assert repo.in_conflict(a, b) and repo.in_conflict(b, a)
+    assert check_health(frozenset({a, b}), repo).peace_violations == ((a, b),)
+
+    path = tmp_path / "Packages"
+    path.write_text(_EQUAL_VERSIONS)
+    env = dict(os.environ, PYTHONPATH=str(Path(debcheck.__file__).parents[1]))
+    reports = {
+        subprocess.run(
+            [sys.executable, "-m", "debcheck.cli", "--explain", str(path)],
+            capture_output=True, env=dict(env, PYTHONHASHSEED=seed), check=False,
+        ).stdout
+        for seed in ("1", "8", "13")
+    }
+    assert len(reports) == 1
+    assert b"depends on x (= 1.0) {x (= 1.0) x (= 1.00)}" in reports.pop()
 
 
 class TestExpansionPreservesSemantics:

@@ -1,5 +1,8 @@
+import hashlib
 import random
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -298,9 +301,9 @@ class TestPureQueries:
         learned = []
         add_learned = engine._add_learned
 
-        def counting(lits, bases, zeros):
+        def counting(lits, bases):
             learned.append(len(lits))
-            return add_learned(lits, bases, zeros)
+            return add_learned(lits, bases)
 
         monkeypatch.setattr(engine, "_add_learned", counting)
         base = state()
@@ -404,6 +407,19 @@ def _greedy_shrink(queried, dep_edges, conflict_edges):
     return tuple(dep_edges), tuple(conflict_edges)
 
 
+def _edges(clause_set, ids):
+    """The dependency edges and the conflict pairs that clauses `ids` encode."""
+    deps = []
+    pairs = []
+    for ci in ids:
+        origin = clause_set.origins[ci]
+        if isinstance(origin, DepClause):
+            deps.append(DependencyEdge(clause_set.package_of(-clause_set.clauses[ci][0]), origin))
+        else:
+            pairs.append(origin)
+    return tuple(deps), tuple(pairs)
+
+
 class TestShrinking:
     def test_shrunk_explanations_follow_the_greedy_rule(self, monkeypatch):
         """Shrinking keeps exactly the edges the greedy rule keeps, and
@@ -434,12 +450,15 @@ class TestShrinking:
                 for k in range(len(confls)):
                     rest = Explanation(core.queried, deps, confls[:k] + confls[k + 1:], ())
                     assert brute_force_check(rest.induced_repository(), frozenset({target}))
-                # from every edge of the repository, where the order matters more
+                # from every clause of the repository, where the order matters more
                 all_deps = [DependencyEdge(p, c) for p in repo.packages for c in repo.deps[p]]
                 all_pairs = sorted(repo.conflicts, key=lambda ab: [package_sort_key(p) for p in ab])
-                every = Explanation(core.queried, tuple(all_deps), tuple(all_pairs), ())
-                assert tuple(map(tuple, solver._shrink_edges(every))) == _greedy_shrink(
-                    every.queried, list(every.dep_edges), list(every.conflict_edges)
+                clause_set = encode(repo)
+                every = list(range(len(clause_set.clauses)))
+                assert _edges(clause_set, every) == (tuple(all_deps), tuple(all_pairs))
+                kept = solver._shrink_edges(clause_set, [clause_set.var_of(target)], every)
+                assert _edges(clause_set, kept) == _greedy_shrink(
+                    core.queried, all_deps, all_pairs
                 )
         assert explained > 300 and dropped > 50  # the cores must actually shrink
 
@@ -480,3 +499,52 @@ class TestDeterminism:
                 assert a.witness == b.witness
                 if not a.installable:
                     assert a.explanation == b.explanation
+
+
+def solver_digest(repo: Repository) -> str:
+    """One digest of what the solver prints for `repo`.
+
+    It covers each package's verdict and explanation lines from
+    `check_all(explain=True)`, in repository order, and the same for
+    every pair query among about six packages spread over the repository.
+    Witnesses are left out: nothing prints them.
+    """
+
+    def printed(result):
+        lines = None if result.installable else result.explanation.render_lines()
+        return result.installable, lines
+
+    checker = solver.RepositoryChecker(repo)
+    view = [(p.name, p.version, *printed(r)) for p, r in checker.check_all(True).items()]
+    picked = repo.packages[:: max(1, len(repo.packages) // 6)]
+    for a, b in combinations(picked, 2):
+        view.append((a.name, a.version, b.name, b.version, *printed(checker.query([a, b]))))
+    return hashlib.sha256(repr(view).encode()).hexdigest()[:16]
+
+
+def solver_inputs() -> Iterator[tuple[str, Repository]]:
+    """The golden inputs: the front end's, then seeded random repositories.
+    Those with 400 packages hold cores past `_SHRINK_LIMIT` packages,
+    which are printed unshrunk."""
+    for key, stanzas in frontend_inputs().items():
+        yield key, build_repository(expand(stanzas))
+    for size, seeds in ((12, 100), (40, 40), (400, 10)):
+        for seed in range(seeds):
+            yield f"repo-{size}-{seed}", random_repository(random.Random(seed), size)
+
+
+_DIGESTS = Path(__file__).with_name("solver_digests.txt")
+
+
+def test_solver_matches_recorded_digests():
+    """Verdicts and explanation lines of every golden input are exactly
+    as recorded (`python tests/test_solver.py` rewrites them)."""
+    recorded = dict(line.split() for line in _DIGESTS.read_text().splitlines())
+    got = {key: solver_digest(repo) for key, repo in solver_inputs()}
+    assert got.keys() == recorded.keys()
+    drifted = [key for key in got if got[key] != recorded[key]]
+    assert not drifted, f"{len(drifted)} inputs drifted, first {drifted[:5]}"
+
+
+if __name__ == "__main__":
+    _DIGESTS.write_text("".join(f"{key} {solver_digest(repo)}\n" for key, repo in solver_inputs()))
