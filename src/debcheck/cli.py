@@ -221,11 +221,14 @@ def run_conflicts(argv: list[str], out: IO, err: IO) -> int:
         return 2
 
     contents = parse_contents(contents_text)
+    del contents_text  # nothing reads the input texts again
     for warning in contents.warnings:
         print(f"debcheck: warning: {warning}", file=err)
     repo, parsed, _ = _load_repository(packages_text, err)
+    del packages_text
 
     pairs = shared_file_pairs(contents.index)
+    del contents  # the pairs keep the paths they print
     outcome = classify_pairs(pairs, repo, parsed.stanzas)
     for pair, message in outcome.undetermined:
         print(f"debcheck: warning: {pair[0]} -- {pair[1]}: {message}", file=err)

@@ -26,11 +26,12 @@ explanations are reproducible run to run.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .expand import (
     DepClause,
@@ -68,7 +69,9 @@ class ClauseSet:
     """Immutable CNF encoding of a repository.
 
     Variable i+1 corresponds to packages[i]; clause k encodes origins[k],
-    the repository's own object (see `ClauseOrigin`).
+    the repository's own object (see `ClauseOrigin`).  `encode` lists the
+    dependency clauses first, each package's together and in variable
+    order, and then the conflict pairs.
     """
 
     packages: tuple[PackageId, ...]
@@ -182,9 +185,9 @@ class _Engine:
         # trail position of the next true variable to search for blockers
         self.scan = self.base_trail_len
 
-    def never_installable_vars(self) -> list[int]:
+    def never_installable_vars(self) -> set[int]:
         """Variables fixed false by the base formula alone."""
-        return [-l for l in self.trail[: self.base_trail_len] if l < 0]
+        return {-l for l in self.trail[: self.base_trail_len] if l < 0}
 
     # -- assignment and propagation ------------------------------------
 
@@ -658,25 +661,27 @@ class RepositoryChecker:
         """Per-package verdicts for the whole repository, in repository order.
 
         Packages the base formula fixes false (doomed) reach the solver.
-        Every other package is settled by its dependency cone: the package
-        plus the non-doomed members of its dependency clauses, closed
-        transitively.  A cone that holds no conflict pair (same-name
-        versions included, as they are in `repo.conflicts`) is clean, and
-        then the package is installable with its cone as a witness:
+        Most others are settled without search by `_witness_pass`: walking
+        the dependency graph children first, a package gets a witness
+        when each of its dependency clauses has a member with a witness
+        that fits the ones already chosen, that is, no conflict pair
+        (same-name versions included, as they are in `repo.conflicts`)
+        spans the two.  Such a witness is a healthy installation:
 
-        - abundant, because a package that is not doomed has a non-doomed
-          member in every dependency clause, else propagation would have
-          fixed it false, and the cone holds all of them;
-        - at peace, because no conflict pair lies inside it.
+        - abundant, because each of its packages has every dependency
+          clause met by a member inside it;
+        - at peace, because it is built only from pieces that fit.
 
-        Clean cones share witnesses: they are merged, first fit, into
-        unions that hold no conflict pair, so each union is healthy too.
-        Only packages with a dirty cone reach the solver, one query each.
-        Verdicts and explanations equal fresh per-package checks.
-        Explanations are built only when `explain` is set.
+        A package whose dependency cone (everything it reaches) holds no
+        conflict pair always gets one.  Witnesses are merged, first fit,
+        into unions that hold no conflict pair, so each union is healthy
+        too.  Only packages with some clause left without a fitting member
+        reach the solver, one query each.  Verdicts and explanations equal
+        fresh per-package checks.  Explanations are built only when
+        `explain` is set.
         """
-        doomed = set(self._engine.never_installable_vars())
-        witnesses, group_of = _clean_cones(self.clause_set, doomed)
+        doomed = self._engine.never_installable_vars()
+        witnesses, group_of, _ = _witness_pass(self.clause_set, doomed)
         if __debug__ and len(self.repo.packages) <= 2000:
             assert all(check_health(w, self.repo).healthy for w in witnesses)
         shared = [CheckResult(True, witness=w) for w in witnesses]
@@ -685,6 +690,24 @@ class RepositoryChecker:
             group = group_of.get(self.clause_set.var_of(pid))
             results[pid] = self.query([pid], explain) if group is None else shared[group]
         return results
+
+    def fitting_pairs(
+        self, pairs: list[tuple[PackageId, PackageId]]
+    ) -> set[tuple[PackageId, PackageId]]:
+        """The pairs of `pairs` that `_witness_pass` shows co-installable:
+        both packages get witnesses and the two fit, so their union is a
+        healthy installation holding both.  Other pairs may still be
+        co-installable; `query` decides them."""
+        var_of = self.clause_set.var_of
+        keep = {var_of(p) for pair in pairs for p in pair}
+        doomed = self._engine.never_installable_vars()
+        _, _, kept = _witness_pass(self.clause_set, doomed, keep)
+        fitting = set()
+        for a, b in pairs:
+            wa, wb = kept.get(var_of(a)), kept.get(var_of(b))
+            if wa is not None and wb is not None and not (wa[0] & wb[1] or wb[0] & wa[1]):
+                fitting.add((a, b))
+        return fitting
 
     def _probe(self, pids: list[PackageId]) -> CheckResult:
         """`query` without an explanation.  The package itself does not call
@@ -736,18 +759,19 @@ def check_all(repo: Repository, explain: bool = True) -> dict[PackageId, CheckRe
 
 
 def _components(
-    succ: list[list[int]], roots: Iterable[int]
+    successors: Callable[[int], Iterator[int]], n: int, roots: Iterable[int]
 ) -> tuple[list[list[int]], list[int]]:
-    """Strongly connected components of what `roots` reach along `succ`,
-    children first, and each vertex's component index (-1 if unreached).
+    """Strongly connected components of what `roots` reach through
+    `successors`, over vertices below `n`, children first, and each
+    vertex's component index (-1 if unreached).
 
     Tarjan's algorithm on an explicit stack, so any depth is fine: `order`
     holds visit numbers, and a visited vertex whose `comp` is still -1 is
     on Tarjan's stack.
     """
-    order = [0] * len(succ)
-    low = [0] * len(succ)
-    comp = [-1] * len(succ)
+    order = [0] * n
+    low = [0] * n
+    comp = [-1] * n
     sccs: list[list[int]] = []
     stack: list[int] = []
     visits = 0
@@ -757,15 +781,15 @@ def _components(
         visits += 1
         order[root] = low[root] = visits
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, successors(root))]
         while work:
-            v, successors = work[-1]
-            for w in successors:
+            v, children = work[-1]
+            for w in children:
                 if not order[w]:
                     visits += 1
                     order[w] = low[w] = visits
                     stack.append(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, successors(w)))
                     break
                 if comp[w] < 0 and order[w] < low[v]:
                     low[v] = order[w]
@@ -785,84 +809,126 @@ def _components(
     return sccs, comp
 
 
-def _clean_cones(
-    clause_set: ClauseSet, doomed: set[int]
-) -> tuple[list[frozenset[PackageId]], dict[int, int]]:
-    """Witnesses for the packages whose dependency cone is clean.
+def _witness_pass(
+    clause_set: ClauseSet, doomed: set[int], keep: Iterable[int] = ()
+) -> tuple[list[frozenset[PackageId]], dict[int, int], dict[int, tuple[int, int]]]:
+    """Healthy installations, found without search, for the packages whose
+    dependencies can be met by choices.
 
     A package's successors are the members of its dependency clauses that
-    are not `doomed`, and its cone is everything reachable that way,
-    itself included.  Strongly connected components come children first,
-    and bit positions follow that order, so each component's cone is its
-    members' bits OR'd with its children's cones.  Each conflict pair is
-    recorded at its end with the higher position, as the bit of the other
-    end, and `near` of a cone ORs the records of its members.  A pair lies
-    inside a cone iff both ends do, iff its lower end is in `cone & near`.
-    A component is clean when no child is dirty and `cone & near` is
-    empty.  Both bitsets stay below the component's own position, and are
-    kept only until the last component with an edge into them has read
-    them.
+    are not `doomed`.  Strongly connected components come children first,
+    and bit positions follow that order.  Each conflict pair is recorded at
+    its end with the higher position, as the bit of the other end, and
+    `near` of a set ORs the records of its members; a pair lies inside a
+    set iff its lower end is in `cone & near`.  A witness is such a pair
+    of bitsets (cone, near).
 
-    Clean cones are merged first fit into unions that hold no conflict
-    pair: a pair across a cone and a union has its lower end in
-    `cone & union_near` or in `union & near`.  Returns each union as a
-    witness and, for every clean variable, the index of the union holding
-    its cone.
+    A component's witness starts from its members' bits and records; the
+    component gets none if its members conflict with each other.  Every
+    dependency clause of a member with no member in the component or in a
+    witness merged so far then needs a choice: the first member, in clause
+    order, whose component has a witness that fits the running union.
+    Fits means no conflict pair spans the two: `kid_cone & near` and
+    `cone & kid_near` are both 0.  The chosen witness is OR'd in.  A
+    clause with no fitting member leaves the component without a witness,
+    and its packages go to the solver.  By induction every witness is a
+    healthy installation that holds the component:
+
+    - abundant, because each member has every clause met inside it, and
+      each merged witness is abundant;
+    - at peace, because the members do not conflict, merged witnesses do
+      not, and a fitting merge adds no pair across.
+
+    A clean cone (no conflict pair among everything the package reaches)
+    is the case where each clause's first member with a witness fits, so
+    every package with a clean cone gets a witness.  A witness is kept
+    only until the last component with an edge into it has been walked,
+    except those of the variables in `keep`.
+
+    Witnesses are merged first fit into unions that hold no conflict
+    pair, the same test across a witness and a union.  Returns each union
+    as a set of packages, for every settled variable the index of the
+    union holding its witness, and the witness bitsets of the settled
+    variables of `keep`.
     """
     n = len(clause_set.packages)
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
-    rivals: list[list[int]] = [[] for _ in range(n + 1)]
-    for clause, origin in zip(clause_set.clauses, clause_set.origins):
+    clauses, origins = clause_set.clauses, clause_set.origins
+    # `encode` lists each package's dependency clauses together, in
+    # variable order: v's are clauses[ends[v - 1]:ends[v]]
+    ends = array("l", [0]) * (n + 1)
+    for ci, origin in enumerate(origins):
         if isinstance(origin, DepClause):
-            succ[-clause[0]].extend(m for m in clause[1:] if m not in doomed)
-        else:
-            rivals[-clause[0]].append(-clause[1])
-            rivals[-clause[1]].append(-clause[0])
+            ends[-clauses[ci][0]] = ci + 1
+    for v in range(1, n + 1):
+        ends[v] = max(ends[v], ends[v - 1])
 
-    sccs, comp = _components(succ, (v for v in range(1, n + 1) if v not in doomed))
+    def successors(v: int) -> Iterator[int]:
+        return (m for clause in clauses[ends[v - 1]:ends[v]] for m in clause[1:] if m not in doomed)
+
+    sccs, comp = _components(successors, n + 1, (v for v in range(1, n + 1) if v not in doomed))
     at = [v for members in sccs for v in members]  # bit position -> variable
     pos = [-1] * (n + 1)
     for i, v in enumerate(at):
         pos[v] = i
-
-    def children(c: int) -> set[int]:
-        kids = {comp[w] for v in sccs[c] for w in succ[v]}
-        kids.discard(c)
-        return kids
-
-    readers = [0] * len(sccs)
-    for c in range(len(sccs)):
-        for k in children(c):
-            readers[k] += 1
-
-    cones: dict[int, tuple[int, int]] = {}  # clean component -> (cone, near)
-    dirty = [False] * len(sccs)
-    unions: list[tuple[int, int]] = []  # (union of cones, its near)
-    group_of: dict[int, int] = {}
+    # conflict pairs between reached packages as hi * size + lo, the
+    # positions of their ends, sorted: the walk meets each at its higher end
+    size = len(at)
+    records = []
+    for clause, origin in zip(clauses, origins):
+        if not isinstance(origin, DepClause):
+            lo, hi = sorted((pos[-clause[0]], pos[-clause[1]]))
+            if lo >= 0:
+                records.append(hi * size + lo)
+    records.sort()
+    del pos
+    last = list(range(len(sccs)))  # the last component to read each witness
     for c, members in enumerate(sccs):
-        kids = children(c)
-        bad = any(dirty[k] for k in kids)
-        if not bad:
-            cone = near = 0
-            for v in members:
-                cone |= 1 << pos[v]
-                for w in rivals[v]:
-                    if 0 <= pos[w] < pos[v]:
-                        near |= 1 << pos[w]
-            for k in kids:
-                kid_cone, kid_near = cones[k]
-                cone |= kid_cone
-                near |= kid_near
-            bad = (cone & near) != 0
-        for k in kids:
-            readers[k] -= 1
-            if not readers[k]:
-                cones.pop(k, None)
-        if bad:
-            dirty[c] = True
+        for v in members:
+            for w in successors(v):
+                last[comp[w]] = c
+
+    keep = set(keep)
+    witness_of: dict[int, tuple[int, int]] = {}  # component -> (cone, near)
+    expiring: dict[int, list[int]] = {}  # last reader -> the witnesses it ends
+    kept: dict[int, tuple[int, int]] = {}
+    unions: list[tuple[int, int]] = []  # (union of witnesses, its near)
+    group_of: dict[int, int] = {}
+    start = r = 0
+    for c, members in enumerate(sccs):
+        top = start + len(members)
+        cone = (1 << top) - (1 << start)
+        near = 0
+        while r < len(records) and records[r] < top * size:
+            near |= 1 << records[r] % size
+            r += 1
+        start = top
+        settled = not cone & near
+        merged = {c}  # components whose witnesses are in `cone`
+        own = (clause for v in members for clause in clauses[ends[v - 1]:ends[v]])
+        for clause in own if settled else ():
+            choices = clause[1:]
+            if any(comp[m] in merged for m in choices):
+                continue
+            for m in choices:  # a doomed member has comp -1 and no witness
+                kid = witness_of.get(comp[m])
+                if kid is not None and not (kid[0] & near or cone & kid[1]):
+                    cone |= kid[0]
+                    near |= kid[1]
+                    merged.add(comp[m])
+                    break
+            else:
+                settled = False
+                break
+        for k in expiring.pop(c, ()):
+            del witness_of[k]
+        if not settled:
             continue
-        if readers[c]:
-            cones[c] = (cone, near)
+        if last[c] > c:
+            witness_of[c] = (cone, near)
+            expiring.setdefault(last[c], []).append(c)
+        for v in members:
+            if v in keep:
+                kept[v] = (cone, near)
         for g, (union, union_near) in enumerate(unions):
             if not (cone & union_near or union & near):
                 unions[g] = (union | cone, union_near | near)
@@ -875,7 +941,7 @@ def _clean_cones(
 
     package_of = clause_set.package_of
     witnesses = [frozenset(package_of(at[i]) for i in _set_bits(union)) for union, _ in unions]
-    return witnesses, group_of
+    return witnesses, group_of, kept
 
 
 def _set_bits(bits: int) -> Iterator[int]:

@@ -16,6 +16,7 @@ from debcheck.expand import (
     package_sort_key,
 )
 from debcheck import solver
+from debcheck.contents import CandidateStatus, ConflictCandidate, classify_pairs
 from debcheck.model import check_health, generate_rn
 from debcheck.solver import (
     DependencyEdge,
@@ -223,8 +224,18 @@ class TestCheckAll:
             ),
             pytest.param(
                 ["p;Depends: q", "q=1", "q=2"],
-                {"q"},
+                {"p", "q"},
                 id="two-versions-through-an-unversioned-dependency",
+            ),
+            pytest.param(
+                ["p;Depends: a | b", "a;Depends: c", "b", "c;Conflicts: p"],
+                {"p", "a", "b", "c"},
+                id="choice-avoids-a-conflict-deeper-down",
+            ),
+            pytest.param(
+                ["a;Depends: b, x | y", "b;Depends: a", "x;Conflicts: b", "y"],
+                {"a", "b", "x", "y"},
+                id="cycle-whose-outside-clause-needs-a-choice",
             ),
             pytest.param(
                 ["a;Depends: b", "b;Depends: c", "c;Depends: a",
@@ -246,7 +257,10 @@ class TestCheckAll:
     )
     def test_cone_pass_edge_cases(self, stanzas, clean):
         """Each stanza is `name[=version]` and then its fields, split by `;`;
-        `clean` names the packages the cone pass settles."""
+        `clean` names the packages the witness pass settles.  In
+        `conflict-an-alternative-avoids`, `p` picks `a`, the first member of
+        `a | b`, which leaves `c` no fit: `p` goes to the solver, which
+        finds it installable."""
         blocks = []
         for stanza in stanzas:
             head, *fields = stanza.split(";")
@@ -254,14 +268,95 @@ class TestCheckAll:
             blocks.append("\n".join([f"Package: {name}", f"Version: {version or 1}", *fields]))
         repo = repo_from("\n\n".join(blocks) + "\n")
         checker = solver.RepositoryChecker(repo)
-        doomed = set(checker._engine.never_installable_vars())
-        _, group_of = solver._clean_cones(checker.clause_set, doomed)
+        doomed = checker._engine.never_installable_vars()
+        _, group_of, _ = solver._witness_pass(checker.clause_set, doomed)
         assert {checker.clause_set.package_of(v).name for v in group_of} == clean
         for target, result in check_all(repo).items():
             assert result.installable == brute_force_check(repo, frozenset({target}))
             if result.installable:
                 assert target in result.witness
                 assert check_health(result.witness, repo).healthy
+
+
+def _naive_clean_cones(repo: Repository) -> set[PackageId]:
+    """Packages whose dependency cone holds no conflict pair, computed
+    from the definitions: a package is doomed if some dependency has only
+    doomed members, and its cone is what it reaches through the members
+    that are not doomed."""
+    deps = {p: [set(c.members) for c in repo.deps.get(p, ())] for p in repo.packages}
+    doomed: set[PackageId] = set()
+    while True:
+        more = {p for p in repo.packages if any(c <= doomed for c in deps[p])} - doomed
+        if not more:
+            break
+        doomed |= more
+    clean = set()
+    for target in set(repo.packages) - doomed:
+        cone, todo = {target}, [target]
+        while todo:
+            for clause in deps[todo.pop()]:
+                for member in clause - doomed - cone:
+                    cone.add(member)
+                    todo.append(member)
+        if not any(a in cone and b in cone for a, b in repo.conflicts):
+            clean.add(target)
+    return clean
+
+
+class TestWitnessPass:
+    def test_sound_and_settles_every_clean_cone(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            repo = random_repository(rng, max_packages=rng.choice([8, 12, 16, 24]))
+            checker = solver.RepositoryChecker(repo)
+            doomed = checker._engine.never_installable_vars()
+            witnesses, group_of, _ = solver._witness_pass(checker.clause_set, doomed)
+            settled = {checker.clause_set.package_of(v): witnesses[g] for v, g in group_of.items()}
+            for target, witness in settled.items():
+                assert target in witness
+                assert check_health(witness, repo).healthy
+                if len(repo.packages) <= 16:  # 24 takes seconds per package
+                    assert brute_force_check(repo, frozenset({target}))
+            assert _naive_clean_cones(repo) <= settled.keys()
+
+    def test_pairs_agree_with_brute_force(self):
+        rng = random.Random(12)
+        fitted = 0
+        for _ in range(150):
+            repo = random_repository(rng, max_packages=12)
+            names = sorted({p.name for p in repo.packages})
+            newest = {n: next(p for p in repo.packages if p.name == n) for n in names}
+            pairs = [ConflictCandidate(pair, ("usr/share/f",)) for pair in combinations(names, 2)]
+            outcome = classify_pairs(pairs, repo, [])
+            assert not outcome.undetermined
+            for candidate in outcome.classified:
+                a, b = (newest[n] for n in candidate.pair)
+                together = brute_force_check(repo, frozenset({a, b}))
+                assert candidate.status == (
+                    CandidateStatus.CANDIDATE if together else CandidateStatus.NOT_COINSTALLABLE
+                )
+            pids = [(newest[x], newest[y]) for x, y in combinations(names, 2)]
+            for a, b in solver.RepositoryChecker(repo).fitting_pairs(pids):
+                assert brute_force_check(repo, frozenset({a, b}))
+                fitted += 1
+        assert fitted > 100
+
+    def test_queries_left_to_the_solver(self, sample_3000, monkeypatch):
+        """Of the 3000-package sample, only the 95 broken packages and a
+        few satisfiable ones reach the solver (62 did with clean cones
+        alone)."""
+        verdicts = []
+        query = solver.RepositoryChecker.query
+
+        def counting(self, pids, explain=True):
+            result = query(self, pids, explain)
+            verdicts.append(result.installable)
+            return result
+
+        monkeypatch.setattr(solver.RepositoryChecker, "query", counting)
+        check_all(sample_3000, explain=False)
+        assert verdicts.count(False) == 95
+        assert verdicts.count(True) <= 10
 
 
 @pytest.fixture(scope="module")
