@@ -17,7 +17,6 @@ from .expand import (
     expand,
     expand_version_constraints,
     expand_virtual_packages,
-    repository_from_stanzas,
 )
 from .model import (
     HealthReport,
@@ -90,7 +89,6 @@ __all__ = [
     "parse_contents",
     "parse_dependency_field",
     "parse_packages",
-    "repository_from_stanzas",
     "shared_file_pairs",
     "summarize",
     "weather_category",

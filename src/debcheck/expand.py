@@ -419,11 +419,6 @@ def build_repository(stanzas: list[PackageStanza]) -> Repository:
     )
 
 
-def repository_from_stanzas(stanzas: list[PackageStanza]) -> Repository:
-    """Expand raw stanzas and build the repository in one call."""
-    return build_repository(expand(stanzas))
-
-
 def render_stanzas(stanzas: list[PackageStanza]) -> str:
     """Debug dump of stanzas back to Packages-file text."""
     blocks = []

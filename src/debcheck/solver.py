@@ -144,6 +144,17 @@ class _Engine:
 
     No clause may repeat a literal; `encode` and `_shrink_edges` emit
     none, and the counters would count a repeated literal twice.
+
+    Invariant: once `_propagate` returns None, no clause is unit (no true
+    literal, one unassigned) or false: `_assign` queues each clause it
+    leaves unit, propagation stops at the first clause made false, and
+    backtracking returns to a prefix whose propagation had finished.  So
+    assigning one unassigned literal (an assumption, a decision, or a
+    learned clause's asserting literal right after the backjump) falsifies
+    no clause; a clause popped from `pending` with no true literal has
+    exactly one unassigned literal; and a learned clause has no true
+    literal when it is added.  A broken invariant raises or fails an
+    assertion; it is never handled.
     """
 
     def __init__(self, nvars: int, clauses: tuple[tuple[int, ...], ...]):
@@ -237,19 +248,14 @@ class _Engine:
             ci = pending.popleft()
             if n_true[ci] > 0:
                 continue
-            free = unit = 0
             for l in clauses[ci]:
                 if value[l if l > 0 else -l] == 0:
-                    free += 1
-                    if free == 2:
-                        break
-                    unit = l
-            if free == 0:
-                return ci
-            if free == 1:
-                conflict = self._assign(unit, ci)
-                if conflict is not None:
-                    return conflict
+                    break
+            else:
+                raise RuntimeError("queued clause has no unassigned literal; engine bug")
+            conflict = self._assign(l, ci)
+            if conflict is not None:
+                return conflict
         return None
 
     def _next_decision(self) -> int | None:
@@ -289,14 +295,13 @@ class _Engine:
         n_true = self.n_true
         occ_pos = self.occ_pos
         occ_neg = self.occ_neg
-        while len(self.trail_lim) > target:
-            mark = self.trail_lim.pop()
-            for lit in self.trail[mark:]:
-                var = lit if lit > 0 else -lit
-                value[var] = 0
-                for ci in occ_pos[var] if lit > 0 else occ_neg[var]:
-                    n_true[ci] -= 1
-            del self.trail[mark:]
+        mark = self.trail_lim[target]
+        for lit in self.trail[mark:]:
+            var = lit if lit > 0 else -lit
+            value[var] = 0
+            for ci in occ_pos[var] if lit > 0 else occ_neg[var]:
+                n_true[ci] -= 1
+        del self.trail[mark:], self.trail_lim[target:]
         self.pending.clear()
         self.scan = self.base_trail_len
 
@@ -377,7 +382,7 @@ class _Engine:
     def _add_learned(self, lits: list[int], bases: set[int]) -> int:
         ci = len(self.clauses)
         self.clauses.append(tuple(lits))
-        self.n_true.append(sum(1 for l in lits if self.value[abs(l)] == (1 if l > 0 else -1)))
+        self.n_true.append(0)
         for lit in lits:
             if lit > 0:
                 self.occ_pos[lit].append(ci)
@@ -420,25 +425,19 @@ class _Engine:
                         raise RuntimeError("conflict at level 0; encoding bug")
                     lits, backjump, bases = self._analyze(conflict)
                     self._backtrack(backjump)
-                    ci = self._add_learned(lits, bases)
-                    conflict = self._assign(lits[0], ci)
-                    if conflict is not None and not self.trail_lim:
-                        raise RuntimeError("conflict at level 0; encoding bug")
-                    if conflict is not None:
-                        self.pending.clear()
-                        self.pending.append(conflict)
+                    conflict = self._assign(lits[0], self._add_learned(lits, bases))
+                    assert conflict is None
                     continue
                 depth = len(self.trail_lim)
                 if depth < len(assumptions):
-                    lit = assumptions[depth]
-                    state = self.value[abs(lit)]
+                    var = assumptions[depth]
+                    state = self.value[var]
                     if state == -1:
-                        return False, self._support((abs(lit),))
+                        return False, self._support((var,))
                     self.trail_lim.append(len(self.trail))
                     if state == 0:
-                        conflict = self._assign(lit, None)
-                        if conflict is not None:
-                            self.pending.append(conflict)
+                        conflict = self._assign(var, None)
+                        assert conflict is None
                     continue
                 lit = self._next_decision()
                 if lit is None:
@@ -448,8 +447,7 @@ class _Engine:
                     return True, model
                 self.trail_lim.append(len(self.trail))
                 conflict = self._assign(lit, None)
-                if conflict is not None:
-                    self.pending.append(conflict)
+                assert conflict is None
         finally:
             self._cleanup()
 
@@ -602,7 +600,9 @@ def _render_chains(
 
 def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int]) -> list[int]:
     """Greedily drop the clauses of `core` in turn while the kept ones
-    still rule the query out; returns the kept clause ids.
+    still rule the query out; returns the kept clause ids, or `core`
+    itself when the core and the query mention more than `_SHRINK_LIMIT`
+    variables.
 
     One engine decides every trial: with the variables the core and the
     query mention renumbered 1..n in order, core clause k gets the
@@ -613,6 +613,8 @@ def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int])
     """
     clauses = [clause_set.clauses[ci] for ci in core]
     variables = sorted({abs(lit) for clause in clauses for lit in clause}.union(query_vars))
+    if len(variables) > _SHRINK_LIMIT:
+        return core
     index = {v: i for i, v in enumerate(variables, 1)}
     n = len(variables)
     trial = [(*(index[l] if l > 0 else -index[-l] for l in clause), -(n + 1 + k))
@@ -718,15 +720,12 @@ class RepositoryChecker:
 
     def _explain(self, queried: tuple[PackageId, ...], core: set[int]) -> Explanation:
         """The explanation of an unsatisfiable core given as base clause
-        ids: shrunk when it mentions at most `_SHRINK_LIMIT` packages, then
-        turned into edges in clause order (dependency clauses first)."""
+        ids: shrunk by `_shrink_edges`, then turned into edges in clause
+        order (dependency clauses first)."""
         clause_set = self.clause_set
         clauses = clause_set.clauses
         query_vars = sorted(clause_set.var_of(p) for p in queried)
-        kept = sorted(core)
-        mentioned = {abs(lit) for ci in kept for lit in clauses[ci]}.union(query_vars)
-        if len(mentioned) <= _SHRINK_LIMIT:
-            kept = _shrink_edges(clause_set, query_vars, kept)
+        kept = _shrink_edges(clause_set, query_vars, sorted(core))
 
         dep_edges: list[DependencyEdge] = []
         conflict_edges: list[tuple[PackageId, PackageId]] = []
@@ -742,8 +741,6 @@ class RepositoryChecker:
 
 def check_installable(repo: Repository, pkg: PackageId) -> CheckResult:
     """Decide whether one package is installable within the repository."""
-    if pkg not in repo:
-        raise ValueError(f"package not in repository: {pkg.render()}")
     return RepositoryChecker(repo).query([pkg])
 
 

@@ -12,7 +12,6 @@ from .version import RELATION_TOKENS
 # Fields that matter for installability.  Suggests, Enhances, Recommends and
 # Breaks are deliberately dropped; Pre-Depends is folded into Depends.
 _DEP_FIELDS = ("depends", "pre-depends")
-_IGNORED_RELATIONS = ("suggests", "enhances", "recommends", "breaks")
 
 # Legacy single-character relations are inclusive per historical field syntax.
 _RELATION_ALIASES = {"<": "<=", ">": ">="}

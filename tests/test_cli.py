@@ -1,7 +1,11 @@
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from debcheck.cli import main
 from debcheck.solver import RepositoryChecker
 
 from conftest import CHAIN_SAMPLE, CONSTRAINT_SAMPLE, VIRTUAL_SAMPLE
+from test_acceptance import _synthetic_distribution
 from test_contents import FIXTURE_CONTENTS, FIXTURE_PACKAGES
 
 
@@ -111,16 +116,21 @@ class TestCheckCommand:
         assert code == 2
         assert "unknown package" in err
 
-    def test_unreadable_input_exits_two(self, capsys, tmp_path):
-        code, _, err = run([str(tmp_path / "missing")], capsys)
-        assert code == 2
-        assert "cannot read input" in err
+    def test_unreadable_input_exits_two(self, sample_file, capsys, tmp_path):
+        missing = str(tmp_path / "missing")
+        packages = sample_file(FIXTURE_PACKAGES)
+        for argv in ([missing], ["conflicts", "--contents", missing, "--packages", packages]):
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert "cannot read input" in err
 
     def test_malformed_stanza_is_diagnosed_but_recoverable(self, sample_file, capsys):
-        text = "Package: broken\nDepends: x\n\n" + CONSTRAINT_SAMPLE
+        text = "Package: broken\nDepends: x\n\n" + CONSTRAINT_SAMPLE + "\nPackage: d\nVersion: 1\n"
         code, out, err = run([sample_file(text)], capsys)
         assert code == 0
         assert "skipped stanza" in err
+        assert "debcheck: warning: duplicate stanza for d 1 (line 27); keeping the last one" in err
         assert "7 packages" in out
 
     def test_failures_only(self, sample_file, capsys):
@@ -214,6 +224,23 @@ class TestCheckCommand:
             assert "Traceback" not in err
             assert out.splitlines()[-1].startswith("3000 packages, 0 not installable")
 
+    def test_optimized_run_prints_the_same_report(self, sample_file):
+        """No verdict or explanation rests on an `assert`: `python -O`
+        prints the same report.  The 3000-package criterion-6 sample runs
+        conflict analysis 88 times."""
+        path = sample_file(_synthetic_distribution(count=3000))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        outputs = []
+        for flags in ([], ["-O"]):
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "debcheck.cli", "--explain", path],
+                capture_output=True, env=env, check=False, timeout=20,
+            )
+            assert done.returncode == 1, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert b"NOT INSTALLABLE" in outputs[0]
+
     def test_virtual_packages_not_reported(self, sample_file, capsys):
         code, out, _ = run([sample_file(VIRTUAL_SAMPLE)], capsys)
         assert code == 0
@@ -231,14 +258,19 @@ class TestCheckCommand:
 class TestConflictsCommand:
     def test_text_report(self, sample_file, capsys):
         packages = sample_file(FIXTURE_PACKAGES, "Packages")
-        contents = sample_file(FIXTURE_CONTENTS, "Contents")
+        # eta and theta share seven paths, of which the report shows five
+        shared = "".join(f"usr/lib/eta/f{i}  main/eta,main/theta\n" for i in range(1, 7))
+        contents = sample_file(FIXTURE_CONTENTS + shared, "Contents")
         code, out, err = run(
             ["conflicts", "--contents", contents, "--packages", packages], capsys
         )
         assert code == 0
         assert "alpha -- beta: not-coinstallable" in out
         assert "epsilon -- zeta: excused-by-replaces" in out
-        assert "eta -- theta: candidate" in out
+        assert (
+            "eta -- theta: candidate: usr/bin/four, usr/lib/eta/f1, usr/lib/eta/f2,"
+            " usr/lib/eta/f3, usr/lib/eta/f4 (+2 more)\n" in out
+        )
         assert "overwrite candidates" in out
         assert "ghost" in err
 

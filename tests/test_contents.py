@@ -44,9 +44,12 @@ class TestParseContents:
         assert result.index.entries == {"usr/bin/tool": frozenset({"tool"})}
 
     def test_line_without_separator_is_skipped_with_warning(self):
-        result = parse_contents("justonefield\nusr/bin/x  base/x\n")
+        result = parse_contents("justonefield\nusr/bin/y  ,\nusr/bin/x  base/x\n")
         assert result.index.entries == {"usr/bin/x": frozenset({"x"})}
-        assert len(result.warnings) == 1
+        assert result.warnings == [
+            "line 1: no separator between path and packages",
+            "line 2: empty package list",
+        ]
 
     def test_duplicate_lines_merged(self):
         result = parse_contents(

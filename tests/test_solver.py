@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import combinations, product
 from pathlib import Path
 from typing import Iterator
@@ -147,8 +148,11 @@ class TestCheckInstallable:
 
     def test_unknown_package_rejected(self):
         repo = make_repo("a", {}, [])
-        with pytest.raises(ValueError):
+        message = re.escape("package not in repository: ghost (= 1)")
+        with pytest.raises(ValueError, match=message):
             check_installable(repo, pid("ghost"))
+        with pytest.raises(ValueError, match=message):
+            check_coinstallable(repo, frozenset({pid("a"), pid("ghost")}))
 
 
 class TestCheckCoinstallable:

@@ -173,11 +173,12 @@ class TestParsePackages:
         result = parse_packages(
             "Package: a\nVersion: 1\n\n"
             "Package: bad\nVersion: 1\nDepends: x (?? 1)\n\n"
-            "Package: b\nVersion: 1\n"
+            "Package: b\nVersion: 1\n\n"
+            "Package: twice\nVersion: 1\nDepends: x\nDepends: y\n"
         )
         assert [s.name for s in result.stanzas] == ["a", "b"]
-        assert len(result.errors) == 1
-        assert result.errors[0].line == 4
+        assert [e.line for e in result.errors] == [4, 11]
+        assert "duplicate field 'depends'" in result.errors[1].message
 
     @pytest.mark.parametrize("name", ["a:any", "a|b", "a(1)", "a)"])
     def test_name_no_relation_can_spell_is_rejected(self, name):
