@@ -94,7 +94,8 @@ def parse_contents(source: str | bytes | IO | Iterable[str]) -> ContentsParseRes
 
 
 def shared_file_pairs(index: ContentsIndex) -> list[ConflictCandidate]:
-    """All unordered name pairs co-owning at least one path, sorted."""
+    """All unordered name pairs co-owning at least one path, sorted, each
+    with its paths in sorted order (the walk over the paths is sorted)."""
     paths_by_pair: dict[tuple[str, str], list[str]] = {}
     for path in sorted(index.entries):
         owners = sorted(index.entries[path])
@@ -102,7 +103,7 @@ def shared_file_pairs(index: ContentsIndex) -> list[ConflictCandidate]:
             for b in owners[i + 1:]:
                 paths_by_pair.setdefault((a, b), []).append(path)
     return [
-        ConflictCandidate(pair, tuple(sorted(paths)))
+        ConflictCandidate(pair, tuple(paths))
         for pair, paths in sorted(paths_by_pair.items())
     ]
 

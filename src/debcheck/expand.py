@@ -133,9 +133,6 @@ class Repository:
             adj[b].add(a)
         return {p: frozenset(s) for p, s in adj.items()}
 
-    def __contains__(self, pid: PackageId) -> bool:
-        return pid in self.package_set
-
     def in_conflict(self, a: PackageId, b: PackageId) -> bool:
         return a != b and conflict_pair(a, b) in self.conflicts
 
@@ -417,22 +414,3 @@ def build_repository(stanzas: list[PackageStanza]) -> Repository:
         conflicts=frozenset(conflicts),
         virtuals=frozenset(virtuals),
     )
-
-
-def render_stanzas(stanzas: list[PackageStanza]) -> str:
-    """Debug dump of stanzas back to Packages-file text."""
-    blocks = []
-    for s in stanzas:
-        lines = [f"Package: {s.name}", f"Version: {s.version}"]
-        if s.architecture:
-            lines.append(f"Architecture: {s.architecture}")
-        if s.depends.conjuncts:
-            lines.append(f"Depends: {s.depends.render()}")
-        if s.conflicts:
-            lines.append("Conflicts: " + ", ".join(r.render() for r in s.conflicts))
-        if s.provides:
-            lines.append("Provides: " + ", ".join(s.provides))
-        if s.replaces:
-            lines.append("Replaces: " + ", ".join(s.replaces))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")

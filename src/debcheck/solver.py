@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -48,6 +47,11 @@ _SHRINK_LIMIT = 40
 
 #: Hard cap for the exhaustive checker.
 _BRUTE_FORCE_LIMIT = 24
+
+#: The `__debug__` checks of models and witnesses run only up to this many
+#: packages: each walks every clause or the installation's dependencies, once
+#: per solve or witness, so over a whole-archive check they grow quadratic.
+_DEBUG_CHECK_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -68,19 +72,19 @@ ClauseOrigin = DepClause | tuple[PackageId, PackageId] | PackageId
 class ClauseSet:
     """Immutable CNF encoding of a repository.
 
-    Variable i+1 corresponds to packages[i]; clause k encodes origins[k],
-    the repository's own object (see `ClauseOrigin`).  `encode` lists the
-    dependency clauses first, each package's together and in variable
-    order, and then the conflict pairs.
+    Variable i+1 corresponds to packages[i], and `index` maps each package
+    to its variable; clause k encodes origins[k], the repository's own
+    object (see `ClauseOrigin`).  `encode` lists the dependency clauses
+    first, each package's together and in variable order: variable v's are
+    clauses[ends[v-1]:ends[v]].  The conflict pairs follow from ends[-1]
+    on, and `with_assumptions` appends its unit clauses after them.
     """
 
     packages: tuple[PackageId, ...]
     clauses: tuple[tuple[int, ...], ...]
     origins: tuple[ClauseOrigin, ...]
-
-    @cached_property
-    def index(self) -> dict[PackageId, int]:
-        return {pid: i + 1 for i, pid in enumerate(self.packages)}
+    ends: array = field(repr=False, compare=False)
+    index: dict[PackageId, int] = field(repr=False, compare=False)
 
     def var_of(self, pid: PackageId) -> int:
         return self.index[pid]
@@ -91,7 +95,8 @@ class ClauseSet:
     def with_assumptions(self, pids: list[PackageId]) -> "ClauseSet":
         """Extend with one positive unit clause per queried package."""
         extra = tuple((self.var_of(p),) for p in pids)
-        return ClauseSet(self.packages, self.clauses + extra, self.origins + tuple(pids))
+        return ClauseSet(self.packages, self.clauses + extra, self.origins + tuple(pids),
+                         self.ends, self.index)
 
     def to_dimacs(self) -> str:
         """DIMACS CNF text with a comment map from variables to packages."""
@@ -112,6 +117,7 @@ def encode(repo: Repository) -> ClauseSet:
     members_of: dict[int, list[int]] = {}  # by id(): `repo` holds every clause
     clauses: list[tuple[int, ...]] = []
     origins: list[ClauseOrigin] = []
+    ends = array("l", [0])
     for var, pid in enumerate(repo.packages, 1):
         for clause in repo.deps.get(pid, ()):
             members = members_of.get(id(clause))
@@ -119,12 +125,11 @@ def encode(repo: Repository) -> ClauseSet:
                 members = members_of[id(clause)] = sorted(index[m] for m in clause.members)
             clauses.append((-var, *members))
             origins.append(clause)
+        ends.append(len(clauses))
     pairs = sorted(repo.conflicts, key=lambda pair: (index[pair[0]], index[pair[1]]))
     clauses.extend((-index[a], -index[b]) for a, b in pairs)
     origins.extend(pairs)
-    clause_set = ClauseSet(repo.packages, tuple(clauses), tuple(origins))
-    clause_set.__dict__["index"] = index  # primes the cached property
-    return clause_set
+    return ClauseSet(repo.packages, tuple(clauses), tuple(origins), ends, index)
 
 
 class _Engine:
@@ -442,7 +447,7 @@ class _Engine:
                 lit = self._next_decision()
                 if lit is None:
                     model = frozenset(l for l in self.trail if l > 0)
-                    if __debug__ and self.nvars <= 2000:
+                    if __debug__ and self.nvars <= _DEBUG_CHECK_LIMIT:
                         self._verify_model()
                     return True, model
                 self.trail_lim.append(len(self.trail))
@@ -599,10 +604,10 @@ def _render_chains(
 
 
 def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int]) -> list[int]:
-    """Greedily drop the clauses of `core` in turn while the kept ones
-    still rule the query out; returns the kept clause ids, or `core`
-    itself when the core and the query mention more than `_SHRINK_LIMIT`
-    variables.
+    """Greedily drop the clauses of `core` (ascending ids) in turn while the
+    kept ones still rule out the query (ascending variables); returns the
+    kept clause ids, or `core` itself when the core and the query mention
+    more than `_SHRINK_LIMIT` variables.
 
     One engine decides every trial: with the variables the core and the
     query mention renumbered 1..n in order, core clause k gets the
@@ -623,7 +628,7 @@ def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int])
     names = [clause_set.package_of(v).name for v in variables]
     trial += [(-i, -j) for i, j in combinations(range(1, n + 1), 2) if names[i - 1] == names[j - 1]]
     engine = _Engine(n + len(core), tuple(trial))
-    query = sorted(index[v] for v in query_vars)
+    query = [index[v] for v in query_vars]
     kept = set(range(len(core)))
     for k in range(len(core)):
         if not engine.solve(query + [n + 1 + j for j in sorted(kept - {k})])[0]:
@@ -643,21 +648,22 @@ class RepositoryChecker:
         queried = tuple(sorted(set(pids), key=package_sort_key))
         if not queried:
             raise ValueError("query set must be non-empty")
-        missing = [p for p in queried if p not in self.repo]
+        index = self.clause_set.index
+        missing = [p for p in queried if p not in index]
         if missing:
             raise ValueError(f"package not in repository: {missing[0].render()}")
 
-        assumptions = sorted(self.clause_set.var_of(p) for p in queried)
+        assumptions = sorted(index[p] for p in queried)
         sat, payload = self._engine.solve(assumptions)
         if sat:
             witness = frozenset(self.clause_set.package_of(v) for v in payload)
-            if __debug__ and len(self.repo.packages) <= 2000:
+            if __debug__ and len(self.repo.packages) <= _DEBUG_CHECK_LIMIT:
                 assert check_health(witness, self.repo).healthy
                 assert set(queried) <= witness
             return CheckResult(True, witness=witness)
         if not explain:
             return CheckResult(False)
-        return CheckResult(False, explanation=self._explain(queried, payload))
+        return CheckResult(False, explanation=self._explain(queried, assumptions, payload))
 
     def check_all(self, explain: bool = True) -> dict[PackageId, CheckResult]:
         """Per-package verdicts for the whole repository, in repository order.
@@ -684,7 +690,7 @@ class RepositoryChecker:
         """
         doomed = self._engine.never_installable_vars()
         witnesses, group_of, _ = _witness_pass(self.clause_set, doomed)
-        if __debug__ and len(self.repo.packages) <= 2000:
+        if __debug__ and len(self.repo.packages) <= _DEBUG_CHECK_LIMIT:
             assert all(check_health(w, self.repo).healthy for w in witnesses)
         shared = [CheckResult(True, witness=w) for w in witnesses]
         results: dict[PackageId, CheckResult] = {}
@@ -718,23 +724,25 @@ class RepositoryChecker:
         program instead."""
         return self.query(pids, explain=False)
 
-    def _explain(self, queried: tuple[PackageId, ...], core: set[int]) -> Explanation:
+    def _explain(
+        self, queried: tuple[PackageId, ...], assumptions: list[int], core: set[int]
+    ) -> Explanation:
         """The explanation of an unsatisfiable core given as base clause
-        ids: shrunk by `_shrink_edges`, then turned into edges in clause
-        order (dependency clauses first)."""
+        ids, for the query on the ascending variables `assumptions`: shrunk
+        by `_shrink_edges`, then turned into edges in clause order
+        (dependency clauses first)."""
         clause_set = self.clause_set
-        clauses = clause_set.clauses
-        query_vars = sorted(clause_set.var_of(p) for p in queried)
-        kept = _shrink_edges(clause_set, query_vars, sorted(core))
+        clauses, origins, deps_end = clause_set.clauses, clause_set.origins, clause_set.ends[-1]
+        kept = _shrink_edges(clause_set, assumptions, sorted(core))
 
         dep_edges: list[DependencyEdge] = []
         conflict_edges: list[tuple[PackageId, PackageId]] = []
         for ci in kept:
-            origin = clause_set.origins[ci]
-            if isinstance(origin, DepClause):
-                dep_edges.append(DependencyEdge(clause_set.package_of(-clauses[ci][0]), origin))
+            if ci < deps_end:
+                owner = clause_set.package_of(-clauses[ci][0])
+                dep_edges.append(DependencyEdge(owner, origins[ci]))
             else:  # cores hold base clauses only, so this is a conflict pair
-                conflict_edges.append(origin)
+                conflict_edges.append(origins[ci])
         chains = _render_chains(queried, tuple(dep_edges), tuple(conflict_edges))
         return Explanation(queried, tuple(dep_edges), tuple(conflict_edges), chains)
 
@@ -812,6 +820,9 @@ def _witness_pass(
     """Healthy installations, found without search, for the packages whose
     dependencies can be met by choices.
 
+    `clause_set` must hold no assumptions: every clause from `ends[-1]`
+    on is taken for a conflict pair.
+
     A package's successors are the members of its dependency clauses that
     are not `doomed`.  Strongly connected components come children first,
     and bit positions follow that order.  Each conflict pair is recorded at
@@ -849,15 +860,7 @@ def _witness_pass(
     variables of `keep`.
     """
     n = len(clause_set.packages)
-    clauses, origins = clause_set.clauses, clause_set.origins
-    # `encode` lists each package's dependency clauses together, in
-    # variable order: v's are clauses[ends[v - 1]:ends[v]]
-    ends = array("l", [0]) * (n + 1)
-    for ci, origin in enumerate(origins):
-        if isinstance(origin, DepClause):
-            ends[-clauses[ci][0]] = ci + 1
-    for v in range(1, n + 1):
-        ends[v] = max(ends[v], ends[v - 1])
+    clauses, ends = clause_set.clauses, clause_set.ends
 
     def successors(v: int) -> Iterator[int]:
         return (m for clause in clauses[ends[v - 1]:ends[v]] for m in clause[1:] if m not in doomed)
@@ -871,11 +874,10 @@ def _witness_pass(
     # positions of their ends, sorted: the walk meets each at its higher end
     size = len(at)
     records = []
-    for clause, origin in zip(clauses, origins):
-        if not isinstance(origin, DepClause):
-            lo, hi = sorted((pos[-clause[0]], pos[-clause[1]]))
-            if lo >= 0:
-                records.append(hi * size + lo)
+    for a, b in clauses[ends[n]:]:
+        lo, hi = sorted((pos[-a], pos[-b]))
+        if lo >= 0:
+            records.append(hi * size + lo)
     records.sort()
     del pos
     last = list(range(len(sccs)))  # the last component to read each witness

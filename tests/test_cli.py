@@ -241,6 +241,27 @@ class TestCheckCommand:
         assert outputs[0] == outputs[1]
         assert b"NOT INSTALLABLE" in outputs[0]
 
+    def test_traced_run_finds_every_wrapped_name(self, sample_file, capsys, tmp_path):
+        """`bench/tracer.py` wraps program functions by name, so deleting or
+        renaming one breaks every traced run.  A crashed tracer exits 1, as
+        a report with broken packages does, so the run must also print no
+        traceback and record the spans of the explanation path."""
+        tracer = Path(__file__).parents[1] / "bench" / "tracer.py"
+        if not tracer.exists():
+            pytest.skip("bench/tracer.py is not in this checkout")
+        path = sample_file(CHAIN_SAMPLE)
+        spans = tmp_path / "spans.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, str(tracer), str(spans), "0", "--explain", path],
+            capture_output=True, env=env, check=False, timeout=60,
+        )
+        code, _, _ = run(["--explain", path], capsys)
+        assert done.returncode == code
+        assert b"Traceback" not in done.stderr, done.stderr
+        names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+        assert {"solver.query", "solver.explain", "solver.shrink", "expand.versions"} <= names
+
     def test_virtual_packages_not_reported(self, sample_file, capsys):
         code, out, _ = run([sample_file(VIRTUAL_SAMPLE)], capsys)
         assert code == 0

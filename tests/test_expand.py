@@ -18,7 +18,6 @@ from debcheck.expand import (
     expand,
     expand_version_constraints,
     expand_virtual_packages,
-    render_stanzas,
 )
 from debcheck.model import check_health
 from debcheck.solver import brute_force_check, encode
@@ -290,7 +289,7 @@ class TestExpansionPreservesSemantics:
             for s in stanzas:
                 expected = direct_installable(stanzas, [s])
                 got = brute_force_check(repo, frozenset({PackageId(s.name, s.version)}))
-                assert got == expected, render_stanzas(stanzas)
+                assert got == expected, stanzas
 
 
 def random_raw_stanzas(rng: random.Random) -> list[PackageStanza]:

@@ -85,12 +85,24 @@ class TestEncode:
 
     def test_clause_origin_invariants(self, sample_3000):
         """Each origin is the repository's own object, and its clause is
-        exactly what that object encodes."""
+        exactly what that object encodes.  `ends` marks each package's
+        dependency clauses, and the conflict pairs follow them."""
         repos = [build_repository(expand(stanzas)) for stanzas in frontend_inputs().values()]
         for repo in repos + [sample_3000]:
             cs = encode(repo)
             assert len(cs.origins) == len(cs.clauses)
             pairs = {id(pair) for pair in repo.conflicts}
+            n, ends = len(cs.packages), cs.ends
+            assert cs.index == {p: i for i, p in enumerate(repo.packages, 1)}
+            assert len(ends) == n + 1 and ends[0] == 0
+            assert all(a <= b for a, b in zip(ends, ends[1:]))
+            for v in range(1, n + 1):
+                for ci in range(ends[v - 1], ends[v]):
+                    assert cs.clauses[ci][0] == -v
+                    assert isinstance(cs.origins[ci], DepClause)
+            for clause, origin in zip(cs.clauses[ends[-1]:], cs.origins[ends[-1]:]):
+                assert len(clause) == 2 and clause[0] < 0 and clause[1] < 0
+                assert id(origin) in pairs
             seen_pairs = set()
             for clause, origin in zip(cs.clauses, cs.origins):
                 if isinstance(origin, DepClause):
@@ -105,10 +117,14 @@ class TestEncode:
             assert seen_pairs == pairs
 
     def test_assumptions_become_unit_clauses(self):
-        repo = make_repo("ab", {}, [])
-        cs = encode(repo).with_assumptions([pid("a")])
+        repo = make_repo("abc", {"a": [["b"]]}, [("b", "c")])
+        base = encode(repo)
+        cs = base.with_assumptions([pid("a")])
         assert cs.clauses[-1] == (cs.var_of(pid("a")),)
         assert cs.origins[-1] == pid("a")
+        assert cs.ends is base.ends and cs.index is base.index
+        assert cs.clauses[:-1] == base.clauses and cs.origins[:-1] == base.origins
+        assert base.ends[-1] == 1 and len(base.clauses) == 2
 
     def test_dimacs_dump(self):
         repo = make_repo("ab", {"a": [["b"]]}, [])
