@@ -104,8 +104,11 @@ class Repository:
     """The formal model: packages, dependency function, conflict relation.
 
     `conflicts` stores one canonical tuple per unordered pair; it is
-    symmetric by construction and never contains a self-pair.  Every two
-    distinct versions of one name are in conflict implicitly.  `virtuals`
+    symmetric by construction and never contains a self-pair.  It holds
+    every pair of distinct versions of one name (`build_repository` adds
+    them), since the encoding, `check_health`, `brute_force_check` and the
+    witness pass read only `conflicts`.  An explanation may leave those
+    pairs out; `Explanation.induced_repository` adds them back.  `virtuals`
     tracks packages synthesized for provided names.
     """
 

@@ -668,34 +668,38 @@ class RepositoryChecker:
     def check_all(self, explain: bool = True) -> dict[PackageId, CheckResult]:
         """Per-package verdicts for the whole repository, in repository order.
 
-        Packages the base formula fixes false (doomed) reach the solver.
-        Most others are settled without search by `_witness_pass`: walking
-        the dependency graph children first, a package gets a witness
-        when each of its dependency clauses has a member with a witness
-        that fits the ones already chosen, that is, no conflict pair
-        (same-name versions included, as they are in `repo.conflicts`)
-        spans the two.  Such a witness is a healthy installation:
-
-        - abundant, because each of its packages has every dependency
-          clause met by a member inside it;
-        - at peace, because it is built only from pieces that fit.
-
-        A package whose dependency cone (everything it reaches) holds no
-        conflict pair always gets one.  Witnesses are merged, first fit,
-        into unions that hold no conflict pair, so each union is healthy
-        too.  Only packages with some clause left without a fitting member
-        reach the solver, one query each.  Verdicts and explanations equal
+        Packages that `_witness_pass` gives a witness are settled without
+        search; the others, doomed ones included, get one query each.  The
+        witnesses are pooled first fit, in the pass's order, into unions
+        that no conflict pair spans (the same test as the pass's fit), so
+        each union is a healthy installation, and every package settled
+        by one shares its `CheckResult`.  Verdicts and explanations equal
         fresh per-package checks.  Explanations are built only when
         `explain` is set.
         """
         doomed = self._engine.never_installable_vars()
-        witnesses, group_of, _ = _witness_pass(self.clause_set, doomed)
+        at, walk = _witness_pass(self.clause_set, doomed)
+        unions: list[tuple[int, int]] = []  # (union of witnesses, its near)
+        group_of: dict[int, int] = {}  # settled variable -> its union
+        for members, cone, near in walk:
+            for g, (union, union_near) in enumerate(unions):
+                if not (cone & union_near or union & near):
+                    unions[g] = (union | cone, union_near | near)
+                    break
+            else:
+                g = len(unions)
+                unions.append((cone, near))
+            for v in members:
+                group_of[v] = g
+        package_of = self.clause_set.package_of
+        witnesses = [frozenset(package_of(at[i]) for i in _set_bits(union)) for union, _ in unions]
+        del at, unions
         if __debug__ and len(self.repo.packages) <= _DEBUG_CHECK_LIMIT:
             assert all(check_health(w, self.repo).healthy for w in witnesses)
         shared = [CheckResult(True, witness=w) for w in witnesses]
         results: dict[PackageId, CheckResult] = {}
-        for pid in self.repo.packages:
-            group = group_of.get(self.clause_set.var_of(pid))
+        for v, pid in enumerate(self.repo.packages, 1):
+            group = group_of.get(v)
             results[pid] = self.query([pid], explain) if group is None else shared[group]
         return results
 
@@ -706,13 +710,14 @@ class RepositoryChecker:
         both packages get witnesses and the two fit, so their union is a
         healthy installation holding both.  Other pairs may still be
         co-installable; `query` decides them."""
-        var_of = self.clause_set.var_of
-        keep = {var_of(p) for pair in pairs for p in pair}
+        index = self.clause_set.index
+        asked = {index[p] for pair in pairs for p in pair}
         doomed = self._engine.never_installable_vars()
-        _, _, kept = _witness_pass(self.clause_set, doomed, keep)
+        _, walk = _witness_pass(self.clause_set, doomed)
+        witness_of = {v: (cone, near) for members, cone, near in walk for v in members if v in asked}
         fitting = set()
         for a, b in pairs:
-            wa, wb = kept.get(var_of(a)), kept.get(var_of(b))
+            wa, wb = witness_of.get(index[a]), witness_of.get(index[b])
             if wa is not None and wb is not None and not (wa[0] & wb[1] or wb[0] & wa[1]):
                 fitting.add((a, b))
         return fitting
@@ -815,8 +820,8 @@ def _components(
 
 
 def _witness_pass(
-    clause_set: ClauseSet, doomed: set[int], keep: Iterable[int] = ()
-) -> tuple[list[frozenset[PackageId]], dict[int, int], dict[int, tuple[int, int]]]:
+    clause_set: ClauseSet, doomed: set[int]
+) -> tuple[list[int], Iterator[tuple[list[int], int, int]]]:
     """Healthy installations, found without search, for the packages whose
     dependencies can be met by choices.
 
@@ -850,14 +855,11 @@ def _witness_pass(
     A clean cone (no conflict pair among everything the package reaches)
     is the case where each clause's first member with a witness fits, so
     every package with a clean cone gets a witness.  A witness is kept
-    only until the last component with an edge into it has been walked,
-    except those of the variables in `keep`.
+    only until the last component with an edge into it has been walked.
 
-    Witnesses are merged first fit into unions that hold no conflict
-    pair, the same test across a witness and a union.  Returns each union
-    as a set of packages, for every settled variable the index of the
-    union holding its witness, and the witness bitsets of the settled
-    variables of `keep`.
+    Returns `at`, each bit position's variable, and an iterator that walks
+    the components and yields (members, cone, near) for each one that
+    gets a witness, children first.
     """
     n = len(clause_set.packages)
     clauses, ends = clause_set.clauses, clause_set.ends
@@ -886,61 +888,45 @@ def _witness_pass(
             for w in successors(v):
                 last[comp[w]] = c
 
-    keep = set(keep)
-    witness_of: dict[int, tuple[int, int]] = {}  # component -> (cone, near)
-    expiring: dict[int, list[int]] = {}  # last reader -> the witnesses it ends
-    kept: dict[int, tuple[int, int]] = {}
-    unions: list[tuple[int, int]] = []  # (union of witnesses, its near)
-    group_of: dict[int, int] = {}
-    start = r = 0
-    for c, members in enumerate(sccs):
-        top = start + len(members)
-        cone = (1 << top) - (1 << start)
-        near = 0
-        while r < len(records) and records[r] < top * size:
-            near |= 1 << records[r] % size
-            r += 1
-        start = top
-        settled = not cone & near
-        merged = {c}  # components whose witnesses are in `cone`
-        own = (clause for v in members for clause in clauses[ends[v - 1]:ends[v]])
-        for clause in own if settled else ():
-            choices = clause[1:]
-            if any(comp[m] in merged for m in choices):
-                continue
-            for m in choices:  # a doomed member has comp -1 and no witness
-                kid = witness_of.get(comp[m])
-                if kid is not None and not (kid[0] & near or cone & kid[1]):
-                    cone |= kid[0]
-                    near |= kid[1]
-                    merged.add(comp[m])
+    def walk() -> Iterator[tuple[list[int], int, int]]:
+        witness_of: dict[int, tuple[int, int]] = {}  # component -> (cone, near)
+        expiring: dict[int, list[int]] = {}  # last reader -> the witnesses it ends
+        start = r = 0
+        for c, members in enumerate(sccs):
+            top = start + len(members)
+            cone = (1 << top) - (1 << start)
+            near = 0
+            while r < len(records) and records[r] < top * size:
+                near |= 1 << records[r] % size
+                r += 1
+            start = top
+            settled = not cone & near
+            merged = {c}  # components whose witnesses are in `cone`
+            own = (clause for v in members for clause in clauses[ends[v - 1]:ends[v]])
+            for clause in own if settled else ():
+                choices = clause[1:]
+                if any(comp[m] in merged for m in choices):
+                    continue
+                for m in choices:  # a doomed member has comp -1 and no witness
+                    kid = witness_of.get(comp[m])
+                    if kid is not None and not (kid[0] & near or cone & kid[1]):
+                        cone |= kid[0]
+                        near |= kid[1]
+                        merged.add(comp[m])
+                        break
+                else:
+                    settled = False
                     break
-            else:
-                settled = False
-                break
-        for k in expiring.pop(c, ()):
-            del witness_of[k]
-        if not settled:
-            continue
-        if last[c] > c:
-            witness_of[c] = (cone, near)
-            expiring.setdefault(last[c], []).append(c)
-        for v in members:
-            if v in keep:
-                kept[v] = (cone, near)
-        for g, (union, union_near) in enumerate(unions):
-            if not (cone & union_near or union & near):
-                unions[g] = (union | cone, union_near | near)
-                break
-        else:
-            g = len(unions)
-            unions.append((cone, near))
-        for v in members:
-            group_of[v] = g
+            for k in expiring.pop(c, ()):
+                del witness_of[k]
+            if not settled:
+                continue
+            if last[c] > c:
+                witness_of[c] = (cone, near)
+                expiring.setdefault(last[c], []).append(c)
+            yield members, cone, near
 
-    package_of = clause_set.package_of
-    witnesses = [frozenset(package_of(at[i]) for i in _set_bits(union)) for union, _ in unions]
-    return witnesses, group_of, kept
+    return at, walk()
 
 
 def _set_bits(bits: int) -> Iterator[int]:

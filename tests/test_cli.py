@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from debcheck import cli
 from debcheck.cli import main
+from debcheck.expand import build_repository, expand
 from debcheck.solver import RepositoryChecker
+from debcheck.stanza import parse_packages
 
 from conftest import CHAIN_SAMPLE, CONSTRAINT_SAMPLE, VIRTUAL_SAMPLE
 from test_acceptance import _synthetic_distribution
@@ -261,6 +263,26 @@ class TestCheckCommand:
         assert b"Traceback" not in done.stderr, done.stderr
         names = {span[0] for span in json.loads(spans.read_text())["spans"]}
         assert {"solver.query", "solver.explain", "solver.shrink", "expand.versions"} <= names
+
+    def test_setup_probe_imports_every_stage(self, sample_file):
+        """`bench/setup_probe.py` imports the front-end stages and
+        `RepositoryChecker` by name, so renaming one fails every set-up
+        sample of the benchmark."""
+        probe = Path(__file__).parents[1] / "bench" / "setup_probe.py"
+        if not probe.exists():
+            pytest.skip("bench/setup_probe.py is not in this checkout")
+        path = sample_file(CHAIN_SAMPLE)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, str(probe), path],
+            capture_output=True, env=env, check=False, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert b"Traceback" not in done.stderr, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["setup_s"] > 0
+        repo = build_repository(expand(parse_packages(CHAIN_SAMPLE).stanzas))
+        assert result["packages"] == len(repo.packages)
 
     def test_virtual_packages_not_reported(self, sample_file, capsys):
         code, out, _ = run([sample_file(VIRTUAL_SAMPLE)], capsys)

@@ -289,8 +289,9 @@ class TestCheckAll:
         repo = repo_from("\n\n".join(blocks) + "\n")
         checker = solver.RepositoryChecker(repo)
         doomed = checker._engine.never_installable_vars()
-        _, group_of, _ = solver._witness_pass(checker.clause_set, doomed)
-        assert {checker.clause_set.package_of(v).name for v in group_of} == clean
+        _, walk = solver._witness_pass(checker.clause_set, doomed)
+        settled = {v for members, _, _ in walk for v in members}
+        assert {checker.clause_set.package_of(v).name for v in settled} == clean
         for target, result in check_all(repo).items():
             assert result.installable == brute_force_check(repo, frozenset({target}))
             if result.installable:
@@ -330,14 +331,22 @@ class TestWitnessPass:
             repo = random_repository(rng, max_packages=rng.choice([8, 12, 16, 24]))
             checker = solver.RepositoryChecker(repo)
             doomed = checker._engine.never_installable_vars()
-            witnesses, group_of, _ = solver._witness_pass(checker.clause_set, doomed)
-            settled = {checker.clause_set.package_of(v): witnesses[g] for v, g in group_of.items()}
-            for target, witness in settled.items():
+            package_of = checker.clause_set.package_of
+            at, walk = solver._witness_pass(checker.clause_set, doomed)
+            settled = set()
+            for members, cone, _ in walk:
+                witness = frozenset(package_of(at[i]) for i in solver._set_bits(cone))
+                assert {package_of(v) for v in members} <= witness
+                assert check_health(witness, repo).healthy
+                settled.update(package_of(v) for v in members)
+            results = checker.check_all(explain=False)
+            for target in settled:
+                witness = results[target].witness
                 assert target in witness
                 assert check_health(witness, repo).healthy
                 if len(repo.packages) <= 16:  # 24 takes seconds per package
                     assert brute_force_check(repo, frozenset({target}))
-            assert _naive_clean_cones(repo) <= settled.keys()
+            assert _naive_clean_cones(repo) <= settled
 
     def test_pairs_agree_with_brute_force(self):
         rng = random.Random(12)
@@ -364,7 +373,13 @@ class TestWitnessPass:
     def test_queries_left_to_the_solver(self, sample_3000, monkeypatch):
         """Of the 3000-package sample, only the 95 broken packages and a
         few satisfiable ones reach the solver (62 did with clean cones
-        alone)."""
+        alone).  The pass settles 2901 packages, which `check_all` pools
+        first fit into 28 unions; with the 4 satisfiable queries' own
+        witnesses, the 2905 installable results share 32 witness objects."""
+        checker = solver.RepositoryChecker(sample_3000)
+        doomed = checker._engine.never_installable_vars()
+        _, walk = solver._witness_pass(checker.clause_set, doomed)
+        assert sum(len(members) for members, _, _ in walk) == 2901
         verdicts = []
         query = solver.RepositoryChecker.query
 
@@ -374,9 +389,12 @@ class TestWitnessPass:
             return result
 
         monkeypatch.setattr(solver.RepositoryChecker, "query", counting)
-        check_all(sample_3000, explain=False)
+        results = check_all(sample_3000, explain=False)
         assert verdicts.count(False) == 95
         assert verdicts.count(True) <= 10
+        witnesses = [result.witness for result in results.values() if result.installable]
+        assert len(witnesses) == 2905
+        assert len({id(witness) for witness in witnesses}) == 32
 
 
 @pytest.fixture(scope="module")
