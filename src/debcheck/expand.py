@@ -86,14 +86,6 @@ class DepClause:
     members: frozenset[PackageId]
     label: str = field(default="", compare=False)
 
-    def sorted_members(self) -> list[PackageId]:
-        return sorted(self.members, key=package_sort_key)
-
-    def render_members(self) -> str:
-        if not self.members:
-            return "{NOT AVAILABLE}"
-        return "{" + " ".join(p.render() for p in self.sorted_members()) + "}"
-
 
 class RepositoryError(ValueError):
     """Corrupt input detected while building a repository."""
@@ -103,13 +95,16 @@ class RepositoryError(ValueError):
 class Repository:
     """The formal model: packages, dependency function, conflict relation.
 
-    `conflicts` stores one canonical tuple per unordered pair; it is
-    symmetric by construction and never contains a self-pair.  It holds
-    every pair of distinct versions of one name (`build_repository` adds
-    them), since the encoding, `check_health`, `brute_force_check` and the
-    witness pass read only `conflicts`.  An explanation may leave those
-    pairs out; `Explanation.induced_repository` adds them back.  `virtuals`
-    tracks packages synthesized for provided names.
+    `packages` is in `package_sort_key` order, which `build_repository`
+    guarantees; `encode`, explanation rendering and
+    `contents._newest_version` rely on it.  `conflicts` stores one
+    canonical tuple per unordered pair; it is symmetric by construction
+    and never contains a self-pair.  It holds every pair of distinct
+    versions of one name (`build_repository` adds them), since the
+    encoding, `check_health`, `brute_force_check` and the witness pass
+    read only `conflicts`.  An explanation may leave those pairs out;
+    `Explanation.induced_repository` adds them back.  `virtuals` tracks
+    packages synthesized for provided names.
     """
 
     packages: tuple[PackageId, ...]

@@ -475,25 +475,19 @@ class ExplanationChain:
 
     With no terminating conflict, the last step's alternative is
     unsatisfiable within the explanation ("{NOT AVAILABLE}" when it has
-    no members at all).
+    no members at all).  `lines` holds the text of the steps, then of the
+    conflict.
     """
 
     steps: tuple[DependencyEdge, ...]
-    conflict: tuple[PackageId, PackageId] | None = None
+    conflict: tuple[PackageId, PackageId] | None
+    lines: tuple[str, ...]
 
     def packages(self) -> list[PackageId]:
         return [step.package for step in self.steps]
 
     def render_lines(self) -> list[str]:
-        lines = [
-            f"{step.package.render()} depends on "
-            f"{step.clause.label} {step.clause.render_members()}"
-            for step in self.steps
-        ]
-        if self.conflict is not None:
-            a, b = self.conflict
-            lines.append(f"{a.render()} conflicts with {b.render()}")
-        return lines
+        return list(self.lines)
 
 
 @dataclass(frozen=True)
@@ -542,7 +536,7 @@ class Explanation:
     def render_lines(self) -> list[str]:
         lines = []
         for chain in self.chains:
-            lines.extend(chain.render_lines())
+            lines.extend(chain.lines)
         return lines
 
 
@@ -556,50 +550,60 @@ class CheckResult:
 
 
 def _render_chains(
-    queried: tuple[PackageId, ...],
-    dep_edges: tuple[DependencyEdge, ...],
-    conflict_edges: tuple[tuple[PackageId, PackageId], ...],
+    clause_set: ClauseSet,
+    query_vars: list[int],
+    dep_edges: dict[int, DependencyEdge],
+    conflicts: list[int],
 ) -> tuple[ExplanationChain, ...]:
-    """Arrange proof edges into readable chains.
+    """Arrange kept clauses (`dep_edges` maps each dependency clause id to
+    its edge; `conflicts` lists conflict clause ids) into readable chains.
 
-    Depth-first from each queried package, on an explicit stack so that
-    chains of any depth render; every package's outgoing edges are
-    expanded once, so shared sub-reasons are not repeated.
+    Depth-first from each queried variable, on an explicit stack so that
+    chains of any depth render; a package's kept edges, in clause order,
+    are expanded once, so shared sub-reasons are not repeated.  A chain
+    stops at a package with no kept edges or one already expanded, once
+    for each kept conflict of the package; a kept conflict that ends no
+    chain gets one with no steps.  Each kept clause's line is formatted
+    once, its members in clause order, which is package order.
     """
-    outgoing: dict[PackageId, list[DependencyEdge]] = {}
-    for edge in dep_edges:
-        outgoing.setdefault(edge.package, []).append(edge)
-    in_conflict: dict[PackageId, tuple[PackageId, PackageId]] = {}
-    for pair in conflict_edges:
-        for pid in pair:
-            in_conflict.setdefault(pid, pair)
+    clauses, origins, ends = clause_set.clauses, clause_set.origins, clause_set.ends
+    package_of = clause_set.package_of
+    line: dict[int, str] = {}
+    for ci, edge in dep_edges.items():
+        members = " ".join(package_of(v).render() for v in clauses[ci][1:]) or "NOT AVAILABLE"
+        line[ci] = f"{edge.package.render()} depends on {edge.clause.label} {{{members}}}"
+    conflicts_of: dict[int, list[int]] = {}
+    for ci in conflicts:
+        a, b = origins[ci]
+        line[ci] = f"{a.render()} conflicts with {b.render()}"
+        for lit in clauses[ci]:
+            conflicts_of.setdefault(-lit, []).append(ci)
+
+    def chain(path: tuple[int, ...], end: int | None = None) -> ExplanationChain:
+        steps = tuple(dep_edges[ci] for ci in path)
+        if end is None:
+            return ExplanationChain(steps, None, tuple(line[ci] for ci in path))
+        return ExplanationChain(steps, origins[end], tuple(line[ci] for ci in path + (end,)))
 
     chains: list[ExplanationChain] = []
-    expanded: set[PackageId] = set()
-    # (package to walk, path so far); a None package emits the path itself,
-    # a dependency with no members
-    stack: list[tuple[PackageId | None, tuple[DependencyEdge, ...]]] = [
-        (pid, ()) for pid in reversed(queried)
-    ]
+    expanded: set[int] = set()
+    # (variable to walk, kept clause ids so far); variable 0 stands for the
+    # missing member of a dependency with no members
+    stack: list[tuple[int, tuple[int, ...]]] = [(v, ()) for v in reversed(query_vars)]
     while stack:
-        pid, path = stack.pop()
-        if pid is None:
-            chains.append(ExplanationChain(path))
+        var, path = stack.pop()
+        edges = [ci for ci in range(ends[var - 1], ends[var]) if ci in dep_edges] if var else []
+        if var in expanded or not edges:
+            stops = conflicts_of.get(var, [])
+            chains.extend(chain(path, end) for end in stops)
+            if path and not stops:
+                chains.append(chain(path))
             continue
-        edges = outgoing.get(pid, ())
-        if pid in expanded or not edges:
-            if path or pid in in_conflict:
-                chains.append(ExplanationChain(path, in_conflict.get(pid)))
-            continue
-        expanded.add(pid)
-        todo: list[tuple[PackageId | None, tuple[DependencyEdge, ...]]] = []
-        for edge in edges:
-            new_path = path + (edge,)
-            if not edge.clause.members:
-                todo.append((None, new_path))
-            else:
-                todo.extend((member, new_path) for member in edge.clause.sorted_members())
-        stack.extend(reversed(todo))
+        expanded.add(var)
+        stack.extend(reversed([(m, path + (ci,)) for ci in edges for m in clauses[ci][1:] or (0,)]))
+    # e.g. a conflict between two packages that were each reached once and expanded
+    ended = {c.conflict for c in chains}
+    chains.extend(chain((), ci) for ci in conflicts if origins[ci] not in ended)
     return tuple(chains)
 
 
@@ -645,25 +649,24 @@ class RepositoryChecker:
         self._engine = _Engine(len(repo.packages), self.clause_set.clauses)
 
     def query(self, pids: list[PackageId], explain: bool = True) -> CheckResult:
-        queried = tuple(sorted(set(pids), key=package_sort_key))
-        if not queried:
+        if not pids:
             raise ValueError("query set must be non-empty")
         index = self.clause_set.index
-        missing = [p for p in queried if p not in index]
+        missing = [p for p in pids if p not in index]
         if missing:
-            raise ValueError(f"package not in repository: {missing[0].render()}")
+            raise ValueError(f"package not in repository: {min(missing, key=package_sort_key)}")
 
-        assumptions = sorted(index[p] for p in queried)
+        assumptions = sorted({index[p] for p in pids})
         sat, payload = self._engine.solve(assumptions)
         if sat:
             witness = frozenset(self.clause_set.package_of(v) for v in payload)
             if __debug__ and len(self.repo.packages) <= _DEBUG_CHECK_LIMIT:
                 assert check_health(witness, self.repo).healthy
-                assert set(queried) <= witness
+                assert witness.issuperset(pids)
             return CheckResult(True, witness=witness)
         if not explain:
             return CheckResult(False)
-        return CheckResult(False, explanation=self._explain(queried, assumptions, payload))
+        return CheckResult(False, explanation=self._explain(assumptions, payload))
 
     def check_all(self, explain: bool = True) -> dict[PackageId, CheckResult]:
         """Per-package verdicts for the whole repository, in repository order.
@@ -729,27 +732,27 @@ class RepositoryChecker:
         program instead."""
         return self.query(pids, explain=False)
 
-    def _explain(
-        self, queried: tuple[PackageId, ...], assumptions: list[int], core: set[int]
-    ) -> Explanation:
+    def _explain(self, assumptions: list[int], core: set[int]) -> Explanation:
         """The explanation of an unsatisfiable core given as base clause
         ids, for the query on the ascending variables `assumptions`: shrunk
         by `_shrink_edges`, then turned into edges in clause order
         (dependency clauses first)."""
         clause_set = self.clause_set
         clauses, origins, deps_end = clause_set.clauses, clause_set.origins, clause_set.ends[-1]
+        package_of = clause_set.package_of
         kept = _shrink_edges(clause_set, assumptions, sorted(core))
 
-        dep_edges: list[DependencyEdge] = []
-        conflict_edges: list[tuple[PackageId, PackageId]] = []
+        dep_edges: dict[int, DependencyEdge] = {}
+        conflicts: list[int] = []
         for ci in kept:
             if ci < deps_end:
-                owner = clause_set.package_of(-clauses[ci][0])
-                dep_edges.append(DependencyEdge(owner, origins[ci]))
+                dep_edges[ci] = DependencyEdge(package_of(-clauses[ci][0]), origins[ci])
             else:  # cores hold base clauses only, so this is a conflict pair
-                conflict_edges.append(origins[ci])
-        chains = _render_chains(queried, tuple(dep_edges), tuple(conflict_edges))
-        return Explanation(queried, tuple(dep_edges), tuple(conflict_edges), chains)
+                conflicts.append(ci)
+        queried = tuple(package_of(v) for v in assumptions)
+        chains = _render_chains(clause_set, assumptions, dep_edges, conflicts)
+        return Explanation(queried, tuple(dep_edges.values()),
+                           tuple(origins[ci] for ci in conflicts), chains)
 
 
 def check_installable(repo: Repository, pkg: PackageId) -> CheckResult:

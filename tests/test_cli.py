@@ -247,7 +247,9 @@ class TestCheckCommand:
         """`bench/tracer.py` wraps program functions by name, so deleting or
         renaming one breaks every traced run.  A crashed tracer exits 1, as
         a report with broken packages does, so the run must also print no
-        traceback and record the spans of the explanation path."""
+        traceback and record the spans of the explanation path.  Without
+        the two render spans, `solver.explain.render_s` and
+        `solver.explain.lines` would read 0 with no crash."""
         tracer = Path(__file__).parents[1] / "bench" / "tracer.py"
         if not tracer.exists():
             pytest.skip("bench/tracer.py is not in this checkout")
@@ -262,7 +264,10 @@ class TestCheckCommand:
         assert done.returncode == code
         assert b"Traceback" not in done.stderr, done.stderr
         names = {span[0] for span in json.loads(spans.read_text())["spans"]}
-        assert {"solver.query", "solver.explain", "solver.shrink", "expand.versions"} <= names
+        assert {
+            "solver.query", "solver.explain", "solver.shrink", "solver.render_chains",
+            "solver.render_lines", "expand.versions",
+        } <= names
 
     def test_setup_probe_imports_every_stage(self, sample_file):
         """`bench/setup_probe.py` imports the front-end stages and

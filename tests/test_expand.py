@@ -18,6 +18,7 @@ from debcheck.expand import (
     expand,
     expand_version_constraints,
     expand_virtual_packages,
+    package_sort_key,
 )
 from debcheck.model import check_health
 from debcheck.solver import brute_force_check, encode
@@ -334,7 +335,7 @@ def random_raw_stanzas(rng: random.Random) -> list[PackageStanza]:
 def _render_origin(clause_set, clause, origin):
     if isinstance(origin, DepClause):
         owner = clause_set.package_of(-clause[0])
-        members = [(m.name, m.version) for m in origin.sorted_members()]
+        members = [(m.name, m.version) for m in sorted(origin.members, key=package_sort_key)]
         return ("dep", owner.name, owner.version, members, origin.label)
     a, b = origin
     return ("conflict", a.name, a.version, b.name, b.version)
@@ -353,7 +354,10 @@ def frontend_digest(stanzas: list[PackageStanza]) -> str:
         return (
             [(p.name, p.version) for p in repo.packages],
             [
-                ([(m.name, m.version) for m in clause.sorted_members()], clause.label)
+                (
+                    [(m.name, m.version) for m in sorted(clause.members, key=package_sort_key)],
+                    clause.label,
+                )
                 for p in repo.packages
                 for clause in repo.deps[p]
             ],

@@ -499,18 +499,56 @@ class TestExplanations:
                 assert not brute_force_check(induced, frozenset({target}))
         assert seen > 20  # the generator must actually produce breakage
 
-    def test_explanation_edges_exist_in_repository(self):
+    def test_explanation_edges_exist_in_repository(self, monkeypatch):
+        """Every kept edge is a real edge and shows in the chains: each
+        dependency edge as a step, each conflict at the end of a chain.
+        Each line reads as the reference rendering below.  The fixed
+        input's core holds two conflicts of `c`; the 60-package
+        repositories print their cores unshrunk."""
+
+        def reference(chain):
+            lines = []
+            for step in chain.steps:
+                members = sorted(step.clause.members, key=package_sort_key)
+                shown = " ".join(p.render() for p in members) or "NOT AVAILABLE"
+                lines.append(f"{step.package.render()} depends on {step.clause.label} {{{shown}}}")
+            if chain.conflict is not None:
+                a, b = chain.conflict
+                lines.append(f"{a.render()} conflicts with {b.render()}")
+            return lines
+
         rng = random.Random(5)
-        for _ in range(40):
-            repo = random_repository(rng, max_packages=10)
-            for target in repo.packages:
-                result = check_installable(repo, target)
+        fixed = repo_from(
+            "Package: t\nVersion: 1\nDepends: a | b\n\n"
+            "Package: a\nVersion: 1\nDepends: c\nConflicts: c\n\n"
+            "Package: b\nVersion: 1\nDepends: c\nConflicts: c\n\n"
+            "Package: c\nVersion: 1\n"
+        )
+        repos = [(fixed, solver._SHRINK_LIMIT)]
+        repos += [(random_repository(rng, max_packages=10), solver._SHRINK_LIMIT) for _ in range(40)]
+        repos += [(random_repository(rng, max_packages=60), 0) for _ in range(15)]
+        explained = 0
+        for repo, limit in repos:
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_SHRINK_LIMIT", limit)
+                results = check_all(repo)
+            for target, result in results.items():
                 if result.installable:
                     continue
-                for edge in result.explanation.dep_edges:
+                explained += 1
+                explanation = result.explanation
+                for edge in explanation.dep_edges:
                     assert edge.clause in repo.deps[edge.package]
-                for a, b in result.explanation.conflict_edges:
+                for a, b in explanation.conflict_edges:
                     assert repo.in_conflict(a, b)
+                chains = explanation.chains
+                assert {s for c in chains for s in c.steps} == set(explanation.dep_edges)
+                assert {c.conflict for c in chains} - {None} == set(explanation.conflict_edges)
+                for chain in chains:
+                    assert chain.render_lines() == reference(chain)
+        core = check_all(fixed)[pid("t")].explanation.conflict_edges
+        assert {conflict_pair(pid("a"), pid("c")), conflict_pair(pid("b"), pid("c"))} <= set(core)
+        assert explained > 300
 
     def test_conflict_pair_explanation(self):
         repo = make_repo(
