@@ -19,7 +19,11 @@ a separate proof pass.  Every solve starts from the base state, so a
 result depends only on the repository and the query.  A small explanation
 is shrunk on an engine of its own whose edges carry selector literals, so
 a trial drops an edge by leaving its selector out of the assumptions (Eén
-& Sörensson, SAT 2003).
+& Sörensson, SAT 2003).  The model of a trial that keeps its edge is
+rotated to show other edges needed without trials of their own
+(Marques-Silva & Lynce, "On improving MUS extraction algorithms", SAT
+2011; Belov & Marques-Silva, "Accelerating MUS extraction with recursive
+model rotation", FMCAD 2011).
 Everything iterates in fixed orders, so verdicts, witnesses, and
 explanations are reproducible run to run.
 """
@@ -42,7 +46,8 @@ from .expand import (
 from .model import check_health
 
 #: Explanations touching at most this many packages get greedily shrunk;
-#: each edge costs a solve, and a 3000-deep chain's core has 3000 edges.
+#: an edge that model rotation does not settle costs a solve, and a
+#: 3000-deep chain's core has 3000 edges.
 _SHRINK_LIMIT = 40
 
 #: Hard cap for the exhaustive checker.
@@ -619,6 +624,16 @@ def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int])
     clauses it keeps.  A package that no kept clause mentions occurs only
     negatively and can stay uninstalled, so each verdict is that on
     `Explanation.induced_repository`.
+
+    Recursive model rotation skips most trials and keeps the same clauses.
+    The working set W (kept so far and not yet tried) rules the query out.
+    A satisfiable trial for clause k keeps k, and its model falsifies k
+    and no other clause of W.  Flipping one variable of k, never a queried
+    one and never to true beside a true same-name version, satisfies k; if
+    the flipped model then falsifies exactly one clause c of W, W without
+    c is satisfiable, and so is every later working set without c, since
+    those are subsets of W that hold c.  Deletion would keep c, so c is
+    kept untried, and the rotation goes on from the flipped model and c.
     """
     clauses = [clause_set.clauses[ci] for ci in core]
     variables = sorted({abs(lit) for clause in clauses for lit in clause}.union(query_vars))
@@ -626,17 +641,45 @@ def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int])
         return core
     index = {v: i for i, v in enumerate(variables, 1)}
     n = len(variables)
-    trial = [(*(index[l] if l > 0 else -index[-l] for l in clause), -(n + 1 + k))
-             for k, clause in enumerate(clauses)]
+    local = [tuple(index[l] if l > 0 else -index[-l] for l in clause) for clause in clauses]
+    trial = [(*clause, -(n + 1 + k)) for k, clause in enumerate(local)]
     # same-name versions conflict in every trial, as in the induced repository
     names = [clause_set.package_of(v).name for v in variables]
-    trial += [(-i, -j) for i, j in combinations(range(1, n + 1), 2) if names[i - 1] == names[j - 1]]
+    rivals: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, j in combinations(range(1, n + 1), 2):
+        if names[i - 1] == names[j - 1]:
+            trial.append((-i, -j))
+            rivals[i].append(j)
+            rivals[j].append(i)
     engine = _Engine(n + len(core), tuple(trial))
     query = [index[v] for v in query_vars]
-    kept = set(range(len(core)))
+    holding: dict[int, list[int]] = {}  # literal -> the core edges that hold it
+    for k, clause in enumerate(local):
+        for lit in clause:
+            holding.setdefault(lit, []).append(k)
+    kept = set(range(len(core)))  # the working set: kept so far and not yet tried
+    needed: set[int] = set()
     for k in range(len(core)):
-        if not engine.solve(query + [n + 1 + j for j in sorted(kept - {k})])[0]:
+        if k in needed:
+            continue
+        sat, model = engine.solve(query + [n + 1 + j for j in sorted(kept - {k})])
+        if not sat:
             kept.discard(k)
+            continue
+        needed.add(k)
+        work = [(k, frozenset(v for v in model if v <= n))]
+        while work:
+            edge, true = work.pop()
+            for lit in local[edge]:
+                v = abs(lit)
+                if v in query or (lit > 0 and any(r in true for r in rivals[v])):
+                    continue
+                flipped = true ^ {v}
+                broken = [c for c in holding.get(-lit, ()) if c in kept and not any(
+                    (l in flipped) if l > 0 else (-l not in flipped) for l in local[c])]
+                if len(broken) == 1 and broken[0] not in needed:
+                    needed.add(broken[0])
+                    work.append((broken[0], flipped))
     return [ci for k, ci in enumerate(core) if k in kept]
 
 

@@ -633,6 +633,82 @@ class TestShrinking:
                 )
         assert explained > 300 and dropped > 50  # the cores must actually shrink
 
+    def test_pair_queries_follow_the_greedy_rule(self, monkeypatch):
+        """Pair queries on repositories with several versions of a name keep
+        exactly the edges the greedy rule keeps, and every kept edge is
+        needed: shrinking never settles an edge from a model that leaves a
+        queried package out or installs two versions of one name."""
+        rng = random.Random(43)
+        explained = dropped = 0
+        while explained < 600:
+            repo = random_repository(rng, max_packages=12)
+            if len({p.name for p in repo.packages}) == len(repo.packages):
+                continue
+            for a, b in combinations(repo.packages, 2):
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver, "_SHRINK_LIMIT", 0)
+                    unshrunk = check_coinstallable(repo, frozenset({a, b}))
+                if unshrunk.installable:
+                    continue
+                core = unshrunk.explanation
+                explanation = check_coinstallable(repo, frozenset({a, b})).explanation
+                deps, confls = explanation.dep_edges, explanation.conflict_edges
+                assert (deps, confls) == _greedy_shrink(
+                    core.queried, list(core.dep_edges), list(core.conflict_edges)
+                )
+                explained += 1
+                dropped += (deps, confls) != (core.dep_edges, core.conflict_edges)
+                for k in range(len(deps)):
+                    rest = Explanation(core.queried, deps[:k] + deps[k + 1:], confls, ())
+                    assert brute_force_check(rest.induced_repository(), frozenset({a, b}))
+                for k in range(len(confls)):
+                    rest = Explanation(core.queried, deps, confls[:k] + confls[k + 1:], ())
+                    assert brute_force_check(rest.induced_repository(), frozenset({a, b}))
+        assert dropped > 50
+
+    def test_rotation_saves_trials(self, monkeypatch):
+        """A shrink never solves more often than its core has edges, and
+        over random repositories far less often; a doomed chain whose core
+        names no package twice needs a single trial."""
+        solves = []
+
+        class Recording(solver._Engine):
+            def solve(self, assumptions):
+                solves.append(assumptions)
+                return super().solve(assumptions)
+
+        def trials(repo, target):
+            checker = solver.RepositoryChecker(repo)
+            query = [checker.clause_set.var_of(target)]
+            sat, core = checker._engine.solve(query)
+            assert not sat
+            solves.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_Engine", Recording)
+                solver._shrink_edges(checker.clause_set, query, sorted(core))
+            return len(solves), core, checker.clause_set
+
+        rng = random.Random(11)
+        edges = spent = 0
+        for _ in range(200):
+            repo = random_repository(rng, max_packages=12)
+            for target in repo.packages:
+                if check_installable(repo, target).installable:
+                    continue
+                count, core, _ = trials(repo, target)
+                assert count <= len(core)
+                edges += len(core)
+                spent += count
+        assert spent < edges * 3 / 4, (spent, edges)
+
+        names = [f"p{i:02d}" for i in range(30)]
+        chain = make_repo(names, {a: [[b]] for a, b in zip(names, names[1:])} | {"p29": [[]]}, [])
+        count, core, clause_set = trials(chain, pid("p00"))
+        assert len(core) == 30
+        mentioned = {abs(lit) for ci in core for lit in clause_set.clauses[ci]}
+        assert len({clause_set.package_of(v).name for v in mentioned}) == len(mentioned)
+        assert count == 1
+
 
 def test_no_engine_clause_repeats_a_literal(monkeypatch):
     """The engine's precondition: neither `encode` nor `_shrink_edges`
