@@ -146,14 +146,18 @@ class _Engine:
     learned when it ends; `reason` and `level` are read only for assigned
     variables.
 
-    Each clause keeps one counter, its number of true literals; unit and
-    conflict tests count its unassigned literals on the spot.  A clause
-    blocking completion (see the module docstring) lies among the negative
+    Clauses keep no counters: a visited clause is read from `value`, up to
+    its first true literal (it is satisfied) or, in the unit and conflict
+    tests, its second unassigned one.  Assigning a literal visits only the
+    clauses it falsifies, so the base state is restored by resetting the
+    values of the trail above the base prefix.  A clause blocking
+    completion (see the module docstring) lies among the negative
     occurrences of a true variable, so decisions walk the true variables
     on the trail from `scan`.
 
     No clause may repeat a literal; `encode` and `_shrink_edges` emit
-    none, and the counters would count a repeated literal twice.
+    none, and the unit test would count a repeated unassigned literal
+    twice.
 
     Invariant: once `_propagate` returns None, no clause is unit (no true
     literal, one unassigned) or false: `_assign` queues each clause it
@@ -179,7 +183,6 @@ class _Engine:
         # clause ids containing +var / -var, indexed by var
         self.occ_pos: list[list[int]] = [[] for _ in range(self.nvars + 1)]
         self.occ_neg: list[list[int]] = [[] for _ in range(self.nvars + 1)]
-        self.n_true = [0] * self.base_count
         self.pending: deque[int] = deque()
         # learned clause id -> the base clause ids of its derivation
         self.flat_bases: dict[int, set[int]] = {}
@@ -196,13 +199,14 @@ class _Engine:
         conflict = None
         for ci, clause in enumerate(self.clauses):
             if len(clause) == 1 and self.value[abs(clause[0])] == 0:
-                conflict = self._assign(clause[0], ci) or conflict
-        conflict = self._propagate() or conflict
+                conflict = self._assign(clause[0], ci)
+                if conflict is not None:
+                    break
+        else:
+            conflict = self._propagate()
         if conflict is not None:
             raise RuntimeError("base clause set is unsatisfiable; encoding bug")
         self.base_trail_len = len(self.trail)
-        self.base_value = self.value[:]
-        self.base_n_true = self.n_true[:]
         # trail position of the next true variable to search for blockers
         self.scan = self.base_trail_len
 
@@ -217,62 +221,60 @@ class _Engine:
         value = self.value
         if lit > 0:
             var = lit
-            sat_occ = self.occ_pos[var]
-            fal_occ = self.occ_neg[var]
+            falsified = self.occ_neg[var]
             value[var] = 1
         else:
             var = -lit
-            sat_occ = self.occ_neg[var]
-            fal_occ = self.occ_pos[var]
+            falsified = self.occ_pos[var]
             value[var] = -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         conflict = None
-        n_true = self.n_true
         clauses = self.clauses
-        for ci in sat_occ:
-            n_true[ci] += 1
         pending = self.pending
-        for ci in fal_occ:
-            if n_true[ci] == 0:
-                free = 0
-                for l in clauses[ci]:
-                    if value[l if l > 0 else -l] == 0:
-                        free += 1
-                        if free == 2:
-                            break
-                if free == 0:
-                    if conflict is None:
-                        conflict = ci
-                elif free == 1:
+        for ci in falsified:
+            free = 0
+            for l in clauses[ci]:
+                state = value[l] if l > 0 else -value[-l]
+                if state == 1:
+                    break
+                if state == 0:
+                    free += 1
+                    if free == 2:
+                        break
+            else:
+                if free:
                     pending.append(ci)
+                elif conflict is None:
+                    conflict = ci
         return conflict
 
     def _propagate(self) -> int | None:
         value = self.value
         pending = self.pending
-        n_true = self.n_true
         clauses = self.clauses
         while pending:
             ci = pending.popleft()
-            if n_true[ci] > 0:
-                continue
+            free = 0
             for l in clauses[ci]:
-                if value[l if l > 0 else -l] == 0:
+                state = value[l] if l > 0 else -value[-l]
+                if state == 1:
                     break
+                if state == 0:
+                    free = l
             else:
-                raise RuntimeError("queued clause has no unassigned literal; engine bug")
-            conflict = self._assign(l, ci)
-            if conflict is not None:
-                return conflict
+                if not free:
+                    raise RuntimeError("queued clause has no unassigned literal; engine bug")
+                conflict = self._assign(free, ci)
+                if conflict is not None:
+                    return conflict
         return None
 
     def _next_decision(self) -> int | None:
         """First unassigned positive literal of the first clause blocking
         completion, or None when "everything else false" is a model."""
         value = self.value
-        n_true = self.n_true
         clauses = self.clauses
         occ_neg = self.occ_neg
         trail = self.trail
@@ -280,38 +282,33 @@ class _Engine:
             var = trail[self.scan]
             if var > 0:
                 for ci in occ_neg[var]:
-                    if n_true[ci]:
-                        continue
                     first = 0
                     for l in clauses[ci]:
-                        if value[l if l > 0 else -l] == 0:
+                        state = value[l] if l > 0 else -value[-l]
+                        if state == 0:
                             if l < 0:
-                                first = 0
                                 break
                             if not first:
                                 first = l
-                    if first:
-                        return first
+                        elif state == 1:
+                            break
+                    else:
+                        if first:
+                            return first
             self.scan += 1
         return None
 
-    def _backtrack(self, target: int) -> None:
-        """Unassign everything above `target`.
+    def _backtrack(self, level: int, mark: int) -> None:
+        """Unassign the trail from position `mark` on and drop the decision
+        levels above `level`.
 
         The blocker scan restarts after the base prefix: a variable that
         stays true may have lost the literal that satisfied its clause.
         """
         value = self.value
-        n_true = self.n_true
-        occ_pos = self.occ_pos
-        occ_neg = self.occ_neg
-        mark = self.trail_lim[target]
         for lit in self.trail[mark:]:
-            var = lit if lit > 0 else -lit
-            value[var] = 0
-            for ci in occ_pos[var] if lit > 0 else occ_neg[var]:
-                n_true[ci] -= 1
-        del self.trail[mark:], self.trail_lim[target:]
+            value[lit if lit > 0 else -lit] = 0
+        del self.trail[mark:], self.trail_lim[level:]
         self.pending.clear()
         self.scan = self.base_trail_len
 
@@ -392,7 +389,6 @@ class _Engine:
     def _add_learned(self, lits: list[int], bases: set[int]) -> int:
         ci = len(self.clauses)
         self.clauses.append(tuple(lits))
-        self.n_true.append(0)
         for lit in lits:
             if lit > 0:
                 self.occ_pos[lit].append(ci)
@@ -408,15 +404,9 @@ class _Engine:
         for clause in reversed(self.clauses[base:]):
             for lit in clause:
                 (self.occ_pos[lit] if lit > 0 else self.occ_neg[-lit]).pop()
-        del self.clauses[base:], self.n_true[base:]
+        del self.clauses[base:]
         self.flat_bases.clear()
-        if len(self.trail) > self.base_trail_len:
-            self.value[:] = self.base_value
-            self.n_true[:] = self.base_n_true
-            del self.trail[self.base_trail_len:]
-        self.trail_lim.clear()
-        self.pending.clear()
-        self.scan = self.base_trail_len
+        self._backtrack(0, self.base_trail_len)
 
     # -- the search ------------------------------------------------------
 
@@ -434,7 +424,7 @@ class _Engine:
                     if not self.trail_lim:
                         raise RuntimeError("conflict at level 0; encoding bug")
                     lits, backjump, bases = self._analyze(conflict)
-                    self._backtrack(backjump)
+                    self._backtrack(backjump, self.trail_lim[backjump])
                     conflict = self._assign(lits[0], self._add_learned(lits, bases))
                     assert conflict is None
                     continue

@@ -424,8 +424,11 @@ class TestPureQueries:
         def state():
             return (
                 engine.value[:],
-                engine.n_true[:],
                 engine.trail[:],
+                engine.trail_lim[:],
+                list(engine.pending),
+                engine.scan,
+                len(engine.flat_bases),
                 len(engine.clauses),
                 [len(occ) for occ in engine.occ_pos],
                 [len(occ) for occ in engine.occ_neg],
@@ -444,6 +447,40 @@ class TestPureQueries:
         assert True in verdicts and False in verdicts
         assert 1 in learned  # some solve learned a fact at level 0
         assert state() == base
+
+
+class TestEngine:
+    """Hand-built clause sets.  In the scan tests a true literal follows an
+    unassigned one, so a scan that stops at the first unassigned literal
+    misreads the clause as unit or blocking."""
+
+    @pytest.mark.parametrize("clauses", [((1,), (2,), (-1, -2)), ((-1, -2), (1,), (2,))])
+    def test_unsatisfiable_base_is_reported(self, clauses):
+        with pytest.raises(RuntimeError, match="base clause set is unsatisfiable"):
+            solver._Engine(2, clauses)
+
+    def test_assign_queues_no_satisfied_clause(self):
+        engine = solver._Engine(3, ((-1, -2, 3),))
+        assert engine._assign(3, None) is None
+        assert engine._assign(1, None) is None  # -2 unassigned, then 3 true
+        assert not engine.pending
+
+    def test_propagate_skips_a_clause_satisfied_after_it_was_queued(self):
+        engine = solver._Engine(3, ((-1, 2), (-1, -3, 2)))
+        assert engine._assign(3, None) is None
+        assert engine._assign(1, None) is None
+        assert list(engine.pending) == [0, 1]
+        assert engine._propagate() is None  # clause 0 makes 2 true first
+        assert engine.trail == [3, 1, 2]
+        assert engine.reason[2] == 0
+
+    def test_no_decision_on_a_satisfied_clause(self):
+        engine = solver._Engine(3, ((-1, 2, 3), (3,)))
+        assert engine.trail == [3]
+        assert engine._assign(1, None) is None
+        assert engine._next_decision() is None  # 2 unassigned, then 3 true
+        engine._cleanup()
+        assert engine.solve([1]) == (True, frozenset({1, 3}))
 
 
 class TestBruteForce:
