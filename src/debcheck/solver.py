@@ -140,6 +140,13 @@ def encode(repo: Repository) -> ClauseSet:
 class _Engine:
     """Reusable CDCL search over one clause set.
 
+    `value` and `occ` are indexed by literal: Python's negative indices put
+    literal -v at 2*nvars+1-v, so `value[l]` is 1, 0 or -1 as literal l is
+    true, unassigned or false, and `occ[l]` lists the ids of the clauses
+    holding l.  `level` and `reason` are indexed by variable, and `pending`
+    holds (clause id, literal) pairs: a clause `_assign` left unit and its
+    one unassigned literal.
+
     Assumptions are installed as the first decision levels, so learned
     clauses are implied by the base formula alone.  Every solve starts
     from the base state, the base prefix on the trail, and drops what it
@@ -165,46 +172,38 @@ class _Engine:
     backtracking returns to a prefix whose propagation had finished.  So
     assigning one unassigned literal (an assumption, a decision, or a
     learned clause's asserting literal right after the backjump) falsifies
-    no clause; a clause popped from `pending` with no true literal has
-    exactly one unassigned literal; and a learned clause has no true
-    literal when it is added.  A broken invariant raises or fails an
-    assertion; it is never handled.
+    no clause; a literal popped from `pending` is unassigned or true; and
+    a learned clause has no true literal when it is added.  A broken
+    invariant raises or fails an assertion; it is never handled.
     """
 
     def __init__(self, nvars: int, clauses: tuple[tuple[int, ...], ...]):
         self.nvars = nvars
         self.clauses = list(clauses)
         self.base_count = len(self.clauses)
-        self.value = [0] * (self.nvars + 1)
-        self.reason: list[int | None] = [None] * (self.nvars + 1)
-        self.level = [0] * (self.nvars + 1)
+        self.value = [0] * (2 * nvars + 1)
+        self.reason: list[int | None] = [None] * (nvars + 1)
+        self.level = [0] * (nvars + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
-        # clause ids containing +var / -var, indexed by var
-        self.occ_pos: list[list[int]] = [[] for _ in range(self.nvars + 1)]
-        self.occ_neg: list[list[int]] = [[] for _ in range(self.nvars + 1)]
-        self.pending: deque[int] = deque()
+        self.occ: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
+        self.pending: deque[tuple[int, int]] = deque()
         # learned clause id -> the base clause ids of its derivation
         self.flat_bases: dict[int, set[int]] = {}
 
+        occ = self.occ
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
-                if lit > 0:
-                    self.occ_pos[lit].append(ci)
-                else:
-                    self.occ_neg[-lit].append(ci)
+                # out of range, a literal would alias another literal's slot
+                if not 0 < abs(lit) <= nvars:
+                    raise ValueError(f"clause {ci} holds literal {lit}, not in ±1..{nvars}")
+                occ[lit].append(ci)
+            if len(clause) == 1:
+                self.pending.append((ci, clause[0]))
 
-        # propagate base facts (packages with an unsatisfiable alternative
-        # and everything that follows); this prefix is permanent
-        conflict = None
-        for ci, clause in enumerate(self.clauses):
-            if len(clause) == 1 and self.value[abs(clause[0])] == 0:
-                conflict = self._assign(clause[0], ci)
-                if conflict is not None:
-                    break
-        else:
-            conflict = self._propagate()
-        if conflict is not None:
+        # propagate the queued base units (packages with an unsatisfiable
+        # alternative) and everything that follows; this prefix is permanent
+        if self._propagate() is not None:
             raise RuntimeError("base clause set is unsatisfiable; encoding bug")
         self.base_trail_len = len(self.trail)
         # trail position of the next true variable to search for blockers
@@ -219,33 +218,28 @@ class _Engine:
     def _assign(self, lit: int, reason: int | None) -> int | None:
         """Make `lit` true; returns a conflicting clause id, if any."""
         value = self.value
-        if lit > 0:
-            var = lit
-            falsified = self.occ_neg[var]
-            value[var] = 1
-        else:
-            var = -lit
-            falsified = self.occ_pos[var]
-            value[var] = -1
+        value[lit] = 1
+        value[-lit] = -1
+        var = abs(lit)
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         conflict = None
         clauses = self.clauses
         pending = self.pending
-        for ci in falsified:
+        for ci in self.occ[-lit]:
             free = 0
             for l in clauses[ci]:
-                state = value[l] if l > 0 else -value[-l]
+                state = value[l]
                 if state == 1:
                     break
                 if state == 0:
-                    free += 1
-                    if free == 2:
+                    if free:
                         break
+                    free = l
             else:
                 if free:
-                    pending.append(ci)
+                    pending.append((ci, free))
                 elif conflict is None:
                     conflict = ci
         return conflict
@@ -253,22 +247,15 @@ class _Engine:
     def _propagate(self) -> int | None:
         value = self.value
         pending = self.pending
-        clauses = self.clauses
         while pending:
-            ci = pending.popleft()
-            free = 0
-            for l in clauses[ci]:
-                state = value[l] if l > 0 else -value[-l]
-                if state == 1:
-                    break
-                if state == 0:
-                    free = l
-            else:
-                if not free:
-                    raise RuntimeError("queued clause has no unassigned literal; engine bug")
-                conflict = self._assign(free, ci)
+            ci, lit = pending.popleft()
+            state = value[lit]
+            if state == 0:
+                conflict = self._assign(lit, ci)
                 if conflict is not None:
                     return conflict
+            elif state == -1:
+                raise RuntimeError("queued literal is false; engine bug")
         return None
 
     def _next_decision(self) -> int | None:
@@ -276,15 +263,15 @@ class _Engine:
         completion, or None when "everything else false" is a model."""
         value = self.value
         clauses = self.clauses
-        occ_neg = self.occ_neg
+        occ = self.occ
         trail = self.trail
         while self.scan < len(trail):
-            var = trail[self.scan]
-            if var > 0:
-                for ci in occ_neg[var]:
+            lit = trail[self.scan]
+            if lit > 0:
+                for ci in occ[-lit]:
                     first = 0
                     for l in clauses[ci]:
-                        state = value[l] if l > 0 else -value[-l]
+                        state = value[l]
                         if state == 0:
                             if l < 0:
                                 break
@@ -307,7 +294,7 @@ class _Engine:
         """
         value = self.value
         for lit in self.trail[mark:]:
-            value[lit if lit > 0 else -lit] = 0
+            value[lit] = value[-lit] = 0
         del self.trail[mark:], self.trail_lim[level:]
         self.pending.clear()
         self.scan = self.base_trail_len
@@ -390,10 +377,7 @@ class _Engine:
         ci = len(self.clauses)
         self.clauses.append(tuple(lits))
         for lit in lits:
-            if lit > 0:
-                self.occ_pos[lit].append(ci)
-            else:
-                self.occ_neg[-lit].append(ci)
+            self.occ[lit].append(ci)
         self.flat_bases[ci] = bases
         return ci
 
@@ -403,7 +387,7 @@ class _Engine:
         # learned ids were appended last, so they end the occurrence lists
         for clause in reversed(self.clauses[base:]):
             for lit in clause:
-                (self.occ_pos[lit] if lit > 0 else self.occ_neg[-lit]).pop()
+                self.occ[lit].pop()
         del self.clauses[base:]
         self.flat_bases.clear()
         self._backtrack(0, self.base_trail_len)
@@ -452,12 +436,11 @@ class _Engine:
             self._cleanup()
 
     def _verify_model(self) -> None:
-        # A literal holds under "unassigned means false" if it is a true
-        # positive or a non-true negative.
+        # A literal holds under "unassigned means false" if it is true, or
+        # negative and unassigned.
+        value = self.value
         for clause in self.clauses:
-            sat = any(
-                self.value[l] == 1 if l > 0 else self.value[-l] != 1 for l in clause
-            )
+            sat = any(value[l] == 1 or l < 0 and value[l] == 0 for l in clause)
             assert sat, "partial model does not extend with all-false"
 
 

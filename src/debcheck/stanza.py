@@ -205,10 +205,6 @@ def parse_ref_list(text: str) -> tuple[ConstrainedRef, ...]:
     return _RelationReader().ref_list(text)
 
 
-def render_dependency_field(expr: DependencyExpression) -> str:
-    return expr.render()
-
-
 def iter_text_lines(source: str | bytes | IO | Iterable[str]) -> Iterator[str]:
     if isinstance(source, str):
         yield from io.StringIO(source)

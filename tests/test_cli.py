@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debcheck import cli
+from debcheck import cli, solver
 from debcheck.cli import main
 from debcheck.expand import build_repository, expand
 from debcheck.solver import RepositoryChecker
@@ -266,7 +266,8 @@ class TestCheckCommand:
         names = {span[0] for span in json.loads(spans.read_text())["spans"]}
         assert {
             "solver.query", "solver.explain", "solver.shrink", "solver.render_chains",
-            "solver.render_lines", "expand.versions",
+            "solver.render_lines", "expand.versions", "solver.engine_init",
+            "solver.checker_init",
         } <= names
 
     def test_setup_probe_imports_every_stage(self, sample_file):
@@ -303,7 +304,59 @@ class TestCheckCommand:
         assert f"debcheck: unknown package: {selector}" in err
 
 
+def _backjump_gadgets(count):
+    """`count` copies of a pair (a, b) that shares a file.  b conflicts with
+    x, which a's witness holds, so the pair is one solver query.  It
+    decides m for a, then p for b, then r for m; r's dependencies clash at
+    level 5 with m's conflict on t, and the backjump to level 3 skips b's
+    decision."""
+    stanzas = []
+    for k in range(count):
+        fields = {
+            "a": [f"Depends: m{k} | n{k}, x{k} | y{k}"],
+            "b": [f"Depends: p{k} | q{k}", f"Conflicts: x{k}"],
+            "m": [f"Depends: r{k} | s{k}", f"Conflicts: t{k}"],
+            "r": [f"Depends: u{k}, w{k}"],
+            "u": [f"Depends: t{k} | v{k}"],
+            "w": [f"Conflicts: v{k}"],
+        }
+        for name in "abmnpqrstuvwxy":
+            stanzas.append("\n".join([f"Package: {name}{k}", "Version: 1", *fields.get(name, [])]))
+    contents = "".join(f"usr/share/g{k}  main/a{k},main/b{k}\n" for k in range(count))
+    return "\n\n".join(stanzas) + "\n", contents
+
+
 class TestConflictsCommand:
+    def test_optimized_run_prints_the_same_report(self, sample_file, capsys, monkeypatch):
+        """`python -O` drops `solve`'s asserts on the search path, so pair
+        queries that decide and backjump print the same report without
+        them.  Each of the three queries makes four decisions and one
+        conflict analysis, at level 5, which backjumps to level 3."""
+        text, index = _backjump_gadgets(3)
+        argv = ["conflicts", "--contents", sample_file(index, "Contents"),
+                "--packages", sample_file(text)]
+        analyses = []
+        analyze = solver._Engine._analyze
+
+        def recording(self, confl):
+            learned, backjump, bases = analyze(self, confl)
+            analyses.append((len(self.trail_lim), backjump))
+            return learned, backjump, bases
+
+        monkeypatch.setattr(solver._Engine, "_analyze", recording)
+        code, out, _ = run(argv, capsys)
+        assert analyses == [(5, 3)] * 3
+        assert code == 0
+        assert "a0 -- b0: candidate: usr/share/g0" in out
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for flags in ([], ["-O"]):
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "debcheck.cli", *argv],
+                capture_output=True, env=env, check=False, timeout=20,
+            )
+            assert done.returncode == code, done.stderr
+            assert done.stdout.decode() == out
+
     def test_text_report(self, sample_file, capsys):
         packages = sample_file(FIXTURE_PACKAGES, "Packages")
         # eta and theta share seven paths, of which the report shows five

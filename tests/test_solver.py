@@ -430,8 +430,7 @@ class TestPureQueries:
                 engine.scan,
                 len(engine.flat_bases),
                 len(engine.clauses),
-                [len(occ) for occ in engine.occ_pos],
-                [len(occ) for occ in engine.occ_neg],
+                [occ[:] for occ in engine.occ],
             )
 
         learned = []
@@ -454,10 +453,32 @@ class TestEngine:
     unassigned one, so a scan that stops at the first unassigned literal
     misreads the clause as unit or blocking."""
 
-    @pytest.mark.parametrize("clauses", [((1,), (2,), (-1, -2)), ((-1, -2), (1,), (2,))])
+    @pytest.mark.parametrize(
+        "clauses", [((1,), (2,), (-1, -2)), ((-1, -2), (1,), (2,)), ((1,), (-1,))]
+    )
     def test_unsatisfiable_base_is_reported(self, clauses):
         with pytest.raises(RuntimeError, match="base clause set is unsatisfiable"):
             solver._Engine(2, clauses)
+
+    @pytest.mark.parametrize("clauses", [((1, 0),), ((3,),), ((-3,),), ((-1, 3), (-2,))])
+    def test_malformed_literal_is_rejected(self, clauses):
+        """`value` and `occ` are indexed by literal, so an out-of-range
+        literal would read and write another literal's slot."""
+        with pytest.raises(ValueError, match="literal"):
+            solver._Engine(2, clauses)
+
+    def test_repeated_base_unit_is_assigned_once(self):
+        engine = solver._Engine(2, ((1,), (1,), (-1, 2)))
+        assert engine.trail == [1, 2]
+        assert engine.reason[2] == 2
+
+    def test_propagate_rejects_a_false_queued_literal(self):
+        engine = solver._Engine(2, ((-1, 2),))
+        assert engine._assign(-2, None) is None
+        assert list(engine.pending) == [(0, -1)]
+        engine.pending.appendleft((0, 2))  # `_assign` never queues a false literal
+        with pytest.raises(RuntimeError, match="queued literal is false"):
+            engine._propagate()
 
     def test_assign_queues_no_satisfied_clause(self):
         engine = solver._Engine(3, ((-1, -2, 3),))
@@ -469,7 +490,7 @@ class TestEngine:
         engine = solver._Engine(3, ((-1, 2), (-1, -3, 2)))
         assert engine._assign(3, None) is None
         assert engine._assign(1, None) is None
-        assert list(engine.pending) == [0, 1]
+        assert list(engine.pending) == [(0, 2), (1, 2)]
         assert engine._propagate() is None  # clause 0 makes 2 true first
         assert engine.trail == [3, 1, 2]
         assert engine.reason[2] == 0
