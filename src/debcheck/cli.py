@@ -284,8 +284,9 @@ def _aggregate_parser() -> argparse.ArgumentParser:
 def _read_report(path: str) -> tuple[str | None, list[tuple[str, bool]]]:
     """The architecture and the (package, installable) entries of a report.
 
-    Raises OSError or ValueError when the file cannot be read or does not
-    have the shape of a `--format=json` report.
+    Raises OSError, ValueError or RecursionError (JSON nested past
+    `json`'s limit) when the file cannot be read or does not have the
+    shape of a `--format=json` report.
     """
     with open(path) as f:
         document = json.load(f)
@@ -324,7 +325,7 @@ def run_aggregate(argv: list[str], out: IO, err: IO) -> int:
             label = architecture or f"report{i + 1}"
             if label in present:
                 raise ValueError(f"duplicate architecture {label}")
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"debcheck: cannot read report {path}: {exc}", file=err)
             return 2
         present[label] = {name for name, _ in entries}

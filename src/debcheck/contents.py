@@ -125,20 +125,21 @@ def classify_pairs(
     """Decide each sharing pair: impossible together, excused, or a candidate.
 
     Co-installability is decided at the newest available version of each
-    name.  One witness pass (`RepositoryChecker.fitting_pairs`) settles
-    the pairs whose two witnesses fit, that is, no conflict pair spans
-    them, so together they form a healthy installation; every other pair
-    is one solver query.  Replaces excuses a pair in either direction; any
-    version constraint on a Replaces entry was already dropped during
-    parsing, so the excusal is unconditional.
+    name, in sorted pair order, by `RepositoryChecker.coinstallable_pairs`:
+    a pair whose two witnesses fit, from the witness pass or from the
+    model of an earlier pair query, needs no query of its own.  Replaces
+    excuses a pair in either direction; any version constraint on a
+    Replaces entry was already dropped during parsing, so the excusal is
+    unconditional.
     """
     replaces: dict[tuple[str, str], frozenset[str]] = {
         (s.name, s.version): frozenset(s.replaces) for s in stanzas
     }
-    checker = RepositoryChecker(repo)
     ordered = sorted(candidates, key=lambda c: c.pair)
     newest = [tuple(_newest_version(repo, name) for name in c.pair) for c in ordered]
-    fitting = checker.fitting_pairs([pair for pair in newest if None not in pair])
+    together = iter(
+        RepositoryChecker(repo).coinstallable_pairs([pair for pair in newest if None not in pair])
+    )
 
     classified: list[ConflictCandidate] = []
     undetermined: list[tuple[tuple[str, str], str]] = []
@@ -150,9 +151,7 @@ def classify_pairs(
                 (candidate.pair, f"package {missing!r} not in the repository")
             )
             continue
-        if (pid_a, pid_b) not in fitting and not checker.query(
-            [pid_a, pid_b], explain=False
-        ).installable:
+        if not next(together):
             status = CandidateStatus.NOT_COINSTALLABLE
         elif b in replaces.get((pid_a.name, pid_a.version), frozenset()) or a in replaces.get(
             (pid_b.name, pid_b.version), frozenset()

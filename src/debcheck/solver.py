@@ -23,7 +23,11 @@ a trial drops an edge by leaving its selector out of the assumptions (Eén
 rotated to show other edges needed without trials of their own
 (Marques-Silva & Lynce, "On improving MUS extraction algorithms", SAT
 2011; Belov & Marques-Silva, "Accelerating MUS extraction with recursive
-model rotation", FMCAD 2011).
+model rotation", FMCAD 2011).  Pair queries reuse models: two healthy
+installations that no conflict pair spans have a healthy union, so a
+pair is settled without search when witnesses of its packages, from a
+search-free pass or from earlier queries, fit (Vouillon & Di Cosmo, "On
+software component co-installability", ESEC/FSE 2011).
 Everything iterates in fixed orders, so verdicts, witnesses, and
 explanations are reproducible run to run.
 """
@@ -722,24 +726,63 @@ class RepositoryChecker:
             results[pid] = self.query([pid], explain) if group is None else shared[group]
         return results
 
-    def fitting_pairs(
-        self, pairs: list[tuple[PackageId, PackageId]]
-    ) -> set[tuple[PackageId, PackageId]]:
-        """The pairs of `pairs` that `_witness_pass` shows co-installable:
-        both packages get witnesses and the two fit, so their union is a
-        healthy installation holding both.  Other pairs may still be
-        co-installable; `query` decides them."""
-        index = self.clause_set.index
+    def coinstallable_pairs(self, pairs: list[tuple[PackageId, PackageId]]) -> list[bool]:
+        """Whether each pair of `pairs` is co-installable, in order.
+
+        A pair is settled without search when both packages have witnesses
+        and the two fit: no conflict pair spans them, so their union is a
+        healthy installation holding both (abundant, since each member's
+        alternatives are met inside its own witness; at peace, since
+        neither witness nor the span between them holds a conflict, and
+        same-name versions are conflict pairs too).  Every other pair is
+        one `query`, and the model of a satisfiable one becomes the witness
+        of each asked package it holds that has none yet.
+
+        Witnesses are (cone, near) bitsets in `_witness_pass`'s positions.
+        A model's `near` holds every conflict partner of its members, so
+        the fit test stays exact for any mix of pass and model witnesses;
+        a doomed partner has no position, and no witness holds it.
+        """
+        clause_set = self.clause_set
+        index, package_of = clause_set.index, clause_set.package_of
         asked = {index[p] for pair in pairs for p in pair}
         doomed = self._engine.never_installable_vars()
-        _, walk = _witness_pass(self.clause_set, doomed)
+        at, walk = _witness_pass(clause_set, doomed)
         witness_of = {v: (cone, near) for members, cone, near in walk for v in members if v in asked}
-        fitting = set()
+        pos = [-1] * (len(clause_set.packages) + 1)
+        for i, v in enumerate(at):
+            pos[v] = i
+        occ, clauses, deps_end = self._engine.occ, clause_set.clauses, clause_set.ends[-1]
+        checked = __debug__ and len(self.repo.packages) <= _DEBUG_CHECK_LIMIT
+
+        answers = []
         for a, b in pairs:
             wa, wb = witness_of.get(index[a]), witness_of.get(index[b])
             if wa is not None and wb is not None and not (wa[0] & wb[1] or wb[0] & wa[1]):
-                fitting.add((a, b))
-        return fitting
+                if checked:
+                    union = frozenset(package_of(at[i]) for i in _set_bits(wa[0] | wb[0]))
+                    assert check_health(union, self.repo).healthy and {a, b} <= union
+                answers.append(True)
+                continue
+            result = self.query([a, b], explain=False)
+            answers.append(result.installable)
+            if not result.installable:
+                continue
+            model = [index[p] for p in result.witness]
+            fresh = [v for v in asked.intersection(model) if v not in witness_of]
+            if not fresh:
+                continue
+            cone = near = 0
+            for v in model:
+                cone |= 1 << pos[v]
+                for ci in occ[-v]:
+                    if ci >= deps_end:  # a conflict pair, (-v, -w) in some order
+                        w = -sum(clauses[ci]) - v
+                        if pos[w] >= 0:
+                            near |= 1 << pos[w]
+            for v in fresh:
+                witness_of[v] = (cone, near)
+        return answers
 
     def _probe(self, pids: list[PackageId]) -> CheckResult:
         """`query` without an explanation.  The package itself does not call

@@ -19,7 +19,7 @@ from debcheck.stanza import parse_packages
 
 from conftest import CHAIN_SAMPLE, CONSTRAINT_SAMPLE, VIRTUAL_SAMPLE
 from test_acceptance import _synthetic_distribution
-from test_contents import FIXTURE_CONTENTS, FIXTURE_PACKAGES
+from test_contents import FIXTURE_CONTENTS, FIXTURE_PACKAGES, model_reuse_input
 
 
 @pytest.fixture
@@ -328,11 +328,16 @@ def _backjump_gadgets(count):
 
 class TestConflictsCommand:
     def test_optimized_run_prints_the_same_report(self, sample_file, capsys, monkeypatch):
-        """`python -O` drops `solve`'s asserts on the search path, so pair
-        queries that decide and backjump print the same report without
-        them.  Each of the three queries makes four decisions and one
-        conflict analysis, at level 5, which backjumps to level 3."""
+        """`python -O` drops `solve`'s asserts on the search path and the
+        health checks of settled pairs, so pair queries that decide and
+        backjump, and a pair settled by an earlier query's model, print the
+        same report without them.  Each of the three gadget queries makes
+        four decisions and one conflict analysis, at level 5, which
+        backjumps to level 3; `model_reuse_input` adds one query that
+        settles a second pair."""
         text, index = _backjump_gadgets(3)
+        reuse_text, reuse_index = model_reuse_input("z")
+        text, index = text + "\n" + reuse_text, index + reuse_index
         argv = ["conflicts", "--contents", sample_file(index, "Contents"),
                 "--packages", sample_file(text)]
         analyses = []
@@ -348,6 +353,7 @@ class TestConflictsCommand:
         assert analyses == [(5, 3)] * 3
         assert code == 0
         assert "a0 -- b0: candidate: usr/share/g0" in out
+        assert "zp -- zw: candidate: usr/share/zw/f" in out
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         for flags in ([], ["-O"]):
             done = subprocess.run(
@@ -450,6 +456,16 @@ class TestAggregateCommand:
         assert out == ""
         label = architectures[0] or "report1"
         assert err == f"debcheck: cannot read report {paths[1]}: duplicate architecture {label}\n"
+
+    def test_deeply_nested_report_exits_two(self, tmp_path, capsys):
+        """`json.load` raises RecursionError past its nesting limit."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(["aggregate", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"debcheck: cannot read report {path}: ")
+        assert "Traceback" not in err
 
     def test_malformed_report_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

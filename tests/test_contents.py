@@ -10,9 +10,12 @@ from debcheck.contents import (
     parse_contents,
     shared_file_pairs,
 )
+from debcheck import solver
 from debcheck.expand import PackageId, build_repository, expand, package_sort_key
-from debcheck.solver import brute_force_check
+from debcheck.solver import RepositoryChecker, brute_force_check
 from debcheck.stanza import parse_packages
+
+from conftest import random_repository
 
 
 class TestParseContents:
@@ -143,6 +146,37 @@ usr/bin/five       main/eta,main/ghost
 """
 
 
+def model_reuse_input(prefix=""):
+    """Packages and Contents text where p shares one path with u and
+    another with w.  p depends on `s1 | s2, t`, and t conflicts with s1:
+    the witness pass merges s1 for p's first clause, then t does not fit,
+    so p gets no witness and (p, u) needs a query.  Its model holds p and
+    fits w's witness, which settles (p, w).  `prefix` starts every name."""
+    fields = {"p": [f"Depends: {prefix}s1 | {prefix}s2, {prefix}t"],
+              "t": [f"Conflicts: {prefix}s1"]}
+    packages = "\n\n".join(
+        "\n".join([f"Package: {prefix}{name}", "Version: 1", *fields.get(name, [])])
+        for name in ("p", "s1", "s2", "t", "u", "w")
+    )
+    contents = (f"usr/share/{prefix}u/f  main/{prefix}p,main/{prefix}u\n"
+                f"usr/share/{prefix}w/f  main/{prefix}p,main/{prefix}w\n")
+    return packages + "\n", contents
+
+
+def counting_queries(monkeypatch):
+    """Record the installability of every `RepositoryChecker.query`."""
+    verdicts = []
+    query = RepositoryChecker.query
+
+    def counting(self, pids, explain=True):
+        result = query(self, pids, explain)
+        verdicts.append(result.installable)
+        return result
+
+    monkeypatch.setattr(RepositoryChecker, "query", counting)
+    return verdicts
+
+
 class TestClassifyPairs:
     def build(self):
         parsed = parse_packages(FIXTURE_PACKAGES)
@@ -191,6 +225,53 @@ class TestClassifyPairs:
             again = classify_pairs(shuffled, repo, parsed.stanzas)
             assert again.classified == baseline.classified
             assert again.undetermined == baseline.undetermined
+
+    def test_query_model_settles_a_later_pair(self, monkeypatch):
+        """(p, u) is the only query: its model becomes p's witness, and it
+        fits w's, so (p, w) is settled without one."""
+        packages, contents = model_reuse_input()
+        parsed = parse_packages(packages)
+        repo = build_repository(expand(parsed.stanzas))
+        checker = RepositoryChecker(repo)
+        doomed = checker._engine.never_installable_vars()
+        _, walk = solver._witness_pass(checker.clause_set, doomed)
+        settled = {checker.clause_set.package_of(v).name for members, _, _ in walk for v in members}
+        assert settled == {"s1", "s2", "t", "u", "w"}
+        verdicts = counting_queries(monkeypatch)
+        result = classify_pairs(shared_file_pairs(parse_contents(contents).index), repo,
+                                parsed.stanzas)
+        assert verdicts == [True]
+        assert [(c.pair, c.status) for c in result.classified] == [
+            (("p", "u"), CandidateStatus.CANDIDATE),
+            (("p", "w"), CandidateStatus.CANDIDATE),
+        ]
+        for other in ("u", "w"):
+            assert brute_force_check(repo, frozenset({PackageId("p", "1"), PackageId(other, "1")}))
+
+    def test_pair_order_changes_no_verdict(self, monkeypatch):
+        """Which pairs a query's model settles depends on the order of the
+        pairs; the verdicts do not, and they agree with brute force."""
+        rng = random.Random(5)
+        verdicts = counting_queries(monkeypatch)
+        orders_that_mattered = 0
+        for _ in range(60):
+            repo = random_repository(rng, max_packages=12)
+            names = sorted({p.name for p in repo.packages})
+            newest = [_newest_version(repo, n) for n in names]
+            expected = {frozenset(pair): brute_force_check(repo, frozenset(pair))
+                        for pair in combinations(newest, 2)}
+            checker = RepositoryChecker(repo)
+            query_counts = set()
+            for _ in range(4):
+                pairs = [tuple(rng.sample(sorted(pair, key=package_sort_key), 2))
+                         for pair in expected]
+                rng.shuffle(pairs)
+                del verdicts[:]
+                answers = checker.coinstallable_pairs(pairs)
+                assert answers == [expected[frozenset(pair)] for pair in pairs]
+                query_counts.add(len(verdicts))
+            orders_that_mattered += len(query_counts) > 1
+        assert orders_that_mattered > 0
 
     def test_funnel_shape(self):
         result, _ = self.build()

@@ -32,6 +32,7 @@ from debcheck.stanza import parse_packages
 
 from conftest import CHAIN_SAMPLE, VIRTUAL_SAMPLE, random_repository
 from test_acceptance import _synthetic_distribution
+from test_contents import counting_queries
 from test_expand import frontend_inputs
 
 
@@ -348,27 +349,32 @@ class TestWitnessPass:
                     assert brute_force_check(repo, frozenset({target}))
             assert _naive_clean_cones(repo) <= settled
 
-    def test_pairs_agree_with_brute_force(self):
+    def test_pairs_agree_with_brute_force(self, monkeypatch):
+        """Every answer of `coinstallable_pairs`, settled by fitting
+        witnesses or by a query, and every status `classify_pairs` prints
+        agree with brute force."""
         rng = random.Random(12)
-        fitted = 0
+        queries = counting_queries(monkeypatch)
+        settled = total = 0
         for _ in range(150):
             repo = random_repository(rng, max_packages=12)
             names = sorted({p.name for p in repo.packages})
             newest = {n: next(p for p in repo.packages if p.name == n) for n in names}
+            pids = [(newest[x], newest[y]) for x, y in combinations(names, 2)]
+            expected = [brute_force_check(repo, frozenset(pair)) for pair in pids]
+            del queries[:]
+            assert solver.RepositoryChecker(repo).coinstallable_pairs(pids) == expected
+            settled += len(pids) - len(queries)
+            total += len(pids)
             pairs = [ConflictCandidate(pair, ("usr/share/f",)) for pair in combinations(names, 2)]
             outcome = classify_pairs(pairs, repo, [])
             assert not outcome.undetermined
-            for candidate in outcome.classified:
-                a, b = (newest[n] for n in candidate.pair)
-                together = brute_force_check(repo, frozenset({a, b}))
-                assert candidate.status == (
-                    CandidateStatus.CANDIDATE if together else CandidateStatus.NOT_COINSTALLABLE
-                )
-            pids = [(newest[x], newest[y]) for x, y in combinations(names, 2)]
-            for a, b in solver.RepositoryChecker(repo).fitting_pairs(pids):
-                assert brute_force_check(repo, frozenset({a, b}))
-                fitted += 1
-        assert fitted > 100
+            assert [c.status for c in outcome.classified] == [
+                CandidateStatus.CANDIDATE if together else CandidateStatus.NOT_COINSTALLABLE
+                for together in expected
+            ]
+        # 640 of 2297 pairs; the pass's witnesses alone would settle 485
+        assert total == 2297 and settled > 600
 
     def test_queries_left_to_the_solver(self, sample_3000, monkeypatch):
         """Of the 3000-package sample, only the 95 broken packages and a
@@ -380,15 +386,7 @@ class TestWitnessPass:
         doomed = checker._engine.never_installable_vars()
         _, walk = solver._witness_pass(checker.clause_set, doomed)
         assert sum(len(members) for members, _, _ in walk) == 2901
-        verdicts = []
-        query = solver.RepositoryChecker.query
-
-        def counting(self, pids, explain=True):
-            result = query(self, pids, explain)
-            verdicts.append(result.installable)
-            return result
-
-        monkeypatch.setattr(solver.RepositoryChecker, "query", counting)
+        verdicts = counting_queries(monkeypatch)
         results = check_all(sample_3000, explain=False)
         assert verdicts.count(False) == 95
         assert verdicts.count(True) <= 10
