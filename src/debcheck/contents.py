@@ -37,7 +37,7 @@ class CandidateStatus(enum.Enum):
     CANDIDATE = "candidate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConflictCandidate:
     """An unordered package-name pair sharing at least one file."""
 

@@ -38,7 +38,7 @@ from .version import satisfies, version_cmp, version_sort_key
 VIRTUAL_VERSION = "virtual"
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class PackageId:
     """A package is identified by its (name, version) pair."""
 
@@ -74,7 +74,7 @@ def conflict_pair(a: PackageId, b: PackageId) -> tuple[PackageId, PackageId]:
     return (a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepClause:
     """One dependency alternative resolved to concrete packages.
 

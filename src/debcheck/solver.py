@@ -13,21 +13,22 @@ they too hold a negative literal, and a partial assignment extends with
 "everything else stays uninstalled" unless some clause has no true
 literal, only true variables under its negative literals, and an
 unassigned positive literal.  The search decides such clauses until none
-remain.  Learned clauses record which clauses they were resolved from,
-which yields an unsatisfiable core (and from it an explanation) without
-a separate proof pass.  Every solve starts from the base state, so a
-result depends only on the repository and the query.  A small explanation
-is shrunk on an engine of its own whose edges carry selector literals, so
-a trial drops an edge by leaving its selector out of the assumptions (Eén
-& Sörensson, SAT 2003).  The model of a trial that keeps its edge is
-rotated to show other edges needed without trials of their own
-(Marques-Silva & Lynce, "On improving MUS extraction algorithms", SAT
-2011; Belov & Marques-Silva, "Accelerating MUS extraction with recursive
-model rotation", FMCAD 2011).  Pair queries reuse models: two healthy
-installations that no conflict pair spans have a healthy union, so a
-pair is settled without search when witnesses of its packages, from a
-search-free pass or from earlier queries, fit (Vouillon & Di Cosmo, "On
-software component co-installability", ESEC/FSE 2011).
+remain.  When a query asks for an explanation, learned clauses record
+which clauses they were resolved from, which yields an unsatisfiable
+core without a separate proof pass; a verdict alone tracks none of it.
+Every solve starts from the base state, so a result depends only on the
+repository and the query.  A small explanation is shrunk on an engine of
+its own whose edges carry selector literals, so a trial drops an edge by
+leaving its selector out of the assumptions (Eén & Sörensson, SAT 2003).
+The model of a trial that keeps its edge is rotated to show other edges
+needed without trials of their own (Marques-Silva & Lynce, "On improving
+MUS extraction algorithms", SAT 2011; Belov & Marques-Silva,
+"Accelerating MUS extraction with recursive model rotation", FMCAD
+2011).  Pair queries reuse models: two healthy installations that no
+conflict pair spans have a healthy union, so a pair is settled without
+search when witnesses of its packages, from a search-free pass or from
+earlier queries, fit (Vouillon & Di Cosmo, "On software component
+co-installability", ESEC/FSE 2011).
 Everything iterates in fixed orders, so verdicts, witnesses, and
 explanations are reproducible run to run.
 """
@@ -63,7 +64,7 @@ _BRUTE_FORCE_LIMIT = 24
 _DEBUG_CHECK_LIMIT = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
     """One dependency alternative of one package, as an explanation lists it."""
 
@@ -192,7 +193,8 @@ class _Engine:
         self.trail_lim: list[int] = []
         self.occ: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
         self.pending: deque[tuple[int, int]] = deque()
-        # learned clause id -> the base clause ids of its derivation
+        # learned clause id -> the base clause ids of its derivation, kept
+        # only by solves that build a core
         self.flat_bases: dict[int, set[int]] = {}
 
         occ = self.occ
@@ -305,18 +307,19 @@ class _Engine:
 
     # -- learning --------------------------------------------------------
 
-    def _analyze(self, confl: int) -> tuple[list[int], int, set[int]]:
+    def _analyze(self, confl: int, core: bool) -> tuple[list[int], int, set[int] | None]:
         """First-UIP conflict analysis.
 
         Returns the learned clause (asserting literal first), the backjump
-        level, and the base clause ids of its derivation.  Those include
-        the reason chains of the level-0 variables it resolves away: level
-        0 is never undone within a solve, so the chains stay as they are.
+        level, and, if `core` is set, the base clause ids of its
+        derivation (else None).  Those include the reason chains of the
+        level-0 variables it resolves away: level 0 is never undone within
+        a solve, so the chains stay as they are.
         """
         learned: list[int] = [0]
         seen = set()
         flat = self.flat_bases
-        bases = set(flat.get(confl, (confl,)))
+        bases = set(flat.get(confl, (confl,))) if core else None
         zeros: list[int] = []
         counter = 0
         current = len(self.trail_lim)
@@ -348,7 +351,8 @@ class _Engine:
                 learned[0] = -p
                 break
             r = self.reason[abs(p)]
-            bases.update(flat.get(r, (r,)))
+            if core:
+                bases.update(flat.get(r, (r,)))
             reason_clause = self.clauses[r]
 
         backjump = 0
@@ -356,7 +360,9 @@ class _Engine:
             lv = self.level[abs(q)]
             if lv > backjump:
                 backjump = lv
-        return learned, backjump, bases | self._support(zeros)
+        if core:
+            bases |= self._support(zeros)
+        return learned, backjump, bases
 
     def _support(self, variables: Iterable[int]) -> set[int]:
         """The base clause ids that the assignments of `variables` rest on:
@@ -377,12 +383,13 @@ class _Engine:
             stack.extend(abs(lit) for lit in self.clauses[r] if abs(lit) != v)
         return bases
 
-    def _add_learned(self, lits: list[int], bases: set[int]) -> int:
+    def _add_learned(self, lits: list[int], bases: set[int] | None) -> int:
         ci = len(self.clauses)
         self.clauses.append(tuple(lits))
         for lit in lits:
             self.occ[lit].append(ci)
-        self.flat_bases[ci] = bases
+        if bases is not None:
+            self.flat_bases[ci] = bases
         return ci
 
     def _cleanup(self) -> None:
@@ -398,12 +405,16 @@ class _Engine:
 
     # -- the search ------------------------------------------------------
 
-    def solve(self, assumptions: list[int]) -> tuple[bool, frozenset[int] | set[int]]:
+    def solve(
+        self, assumptions: list[int], core: bool = False
+    ) -> tuple[bool, frozenset[int] | set[int] | None]:
         """Decide the base formula under positive unit assumptions.
 
         Returns (True, true variable set) or (False, the base clause ids of
-        an unsatisfiable core).  The engine is back in its base state
-        afterwards.
+        an unsatisfiable core if `core` is set, else None).  Without a core,
+        conflict analysis tracks no derivations, so refuting a package that
+        a deep chain fixes false costs no walk of the chain.  The engine is
+        back in its base state afterwards.
         """
         try:
             while True:
@@ -411,7 +422,7 @@ class _Engine:
                 if conflict is not None:
                     if not self.trail_lim:
                         raise RuntimeError("conflict at level 0; encoding bug")
-                    lits, backjump, bases = self._analyze(conflict)
+                    lits, backjump, bases = self._analyze(conflict, core)
                     self._backtrack(backjump, self.trail_lim[backjump])
                     conflict = self._assign(lits[0], self._add_learned(lits, bases))
                     assert conflict is None
@@ -421,7 +432,7 @@ class _Engine:
                     var = assumptions[depth]
                     state = self.value[var]
                     if state == -1:
-                        return False, self._support((var,))
+                        return False, self._support((var,)) if core else None
                     self.trail_lim.append(len(self.trail))
                     if state == 0:
                         conflict = self._assign(var, None)
@@ -451,7 +462,7 @@ class _Engine:
 # -- results and explanations ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExplanationChain:
     """One rendered path of dependency steps ending in a dead end.
 
@@ -472,7 +483,7 @@ class ExplanationChain:
         return list(self.lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explanation:
     """A self-contained proof of non-installability.
 
@@ -522,7 +533,7 @@ class Explanation:
         return lines
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """Verdict of an (co-)installability query."""
 
@@ -677,7 +688,7 @@ class RepositoryChecker:
             raise ValueError(f"package not in repository: {min(missing, key=package_sort_key)}")
 
         assumptions = sorted({index[p] for p in pids})
-        sat, payload = self._engine.solve(assumptions)
+        sat, payload = self._engine.solve(assumptions, core=explain)
         if sat:
             witness = frozenset(self.clause_set.package_of(v) for v in payload)
             if __debug__ and len(self.repo.packages) <= _DEBUG_CHECK_LIMIT:

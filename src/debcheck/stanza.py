@@ -25,7 +25,7 @@ class DependencyParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstrainedRef:
     """A package name, optionally constrained to a version range."""
 
@@ -49,7 +49,7 @@ class ConstrainedRef:
         return f"{self.name} ({self.relation} {self.version})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alternative:
     """One comma-separated conjunct: a disjunction of refs.
 
@@ -68,7 +68,7 @@ class Alternative:
         return self.origin if self.origin is not None else self.render()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyExpression:
     """Conjunction of alternatives; an empty conjunct list means no deps."""
 
@@ -78,7 +78,7 @@ class DependencyExpression:
         return ", ".join(alt.render() for alt in self.conjuncts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackageStanza:
     """One parsed package record, before expansion."""
 

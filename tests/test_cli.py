@@ -343,8 +343,8 @@ class TestConflictsCommand:
         analyses = []
         analyze = solver._Engine._analyze
 
-        def recording(self, confl):
-            learned, backjump, bases = analyze(self, confl)
+        def recording(self, confl, core):
+            learned, backjump, bases = analyze(self, confl, core)
             analyses.append((len(self.trail_lim), backjump))
             return learned, backjump, bases
 
@@ -497,6 +497,78 @@ _JSON = st.recursive(
         | st.text(max_size=3), inner, max_size=4),
     max_leaves=12,
 )
+
+
+@pytest.fixture
+def collector_state():
+    """Run the test, then put the collector back as it was."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollector:
+    """`main` runs without the cyclic collector and leaves it as it was."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_state_is_restored(self, enabled, sample_file, capsys, monkeypatch,
+                                      collector_state, tmp_path):
+        seen = []
+        summarize = cli.summarize
+
+        def recording(results):
+            seen.append(gc.isenabled())
+            return summarize(results)
+
+        monkeypatch.setattr(cli, "summarize", recording)
+        (gc.enable if enabled else gc.disable)()
+        code, out, _ = run([sample_file(CHAIN_SAMPLE)], capsys)
+        assert code == 1 and "NOT INSTALLABLE" in out
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+        code, _, err = run([str(tmp_path / "missing")], capsys)
+        assert code == 2 and "cannot read input" in err
+        assert gc.isenabled() is enabled
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--format=xml", sample_file(CHAIN_SAMPLE)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert gc.isenabled() is enabled
+
+    def test_runs_make_no_cycles_that_grow_with_the_input(self, sample_file, capsys,
+                                                         collector_state):
+        """The premise of running without the collector: what a run leaves
+        for it to find is a constant handful (argparse, closures), not
+        something per package."""
+        gc.disable()
+        found = {}
+        for count in (300, 3000):
+            packages = sample_file(_synthetic_distribution(count=count), f"Packages{count}")
+            contents = sample_file("".join(
+                f"usr/share/f{i}  main/pkg{i:05d},main/pkg{(7 * i + 3) % count:05d}\n"
+                for i in range(0, count, 3)
+            ), f"Contents{count}")
+            code, report, _ = run(["--format=json", packages], capsys)
+            assert code == 1
+            path = sample_file(report, f"report{count}.json")
+            commands = {
+                "check": [packages],
+                "explain": ["--explain", "--format=json", packages],
+                "conflicts": ["conflicts", "--contents", contents, "--packages", packages],
+                "aggregate": ["aggregate", path],
+            }
+            for name, argv in commands.items():
+                gc.collect()
+                code, out, _ = run(argv, capsys)
+                assert code in (0, 1) and out
+                found[name, count] = gc.collect()
+        for name in commands:
+            assert found[name, 3000] <= found[name, 300], found
 
 
 def _exits_cleanly(argv):

@@ -221,6 +221,43 @@ class TestCheckAll:
         a_chain = results[pid("a")].explanation.chains[0]
         assert [s.package.name for s in a_chain.steps] == ["a", "b"]
 
+    def test_verdicts_alone_build_no_core(self, monkeypatch):
+        """A check without explanations walks no derivations: on a 3000-deep
+        chain fixed false by a missing dependency, and on a short chain that
+        search refutes (`s19` needs `x` or `y`, each needs `z`, and `s19`
+        conflicts with `z`), no `_support` call is made."""
+        depth = 3000
+        chain = [f"c{i:04d}" for i in range(depth)]
+        short = [f"s{i:02d}" for i in range(20)]
+        deps = {a: [[b]] for a, b in zip(chain, chain[1:])} | {chain[-1]: [[]]}
+        deps |= {a: [[b]] for a, b in zip(short, short[1:])}
+        deps |= {short[-1]: [["x", "y"]], "x": [["z"]], "y": [["z"]]}
+        repo = make_repo(chain + short + ["x", "y", "z"], deps, [(short[-1], "z")])
+        calls = {"_support": 0, "_analyze": 0}
+
+        def counting(name):
+            method = getattr(solver._Engine, name)
+
+            def counted(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(solver._Engine, name, counting(name))
+        results = check_all(repo, explain=False)
+        assert calls["_support"] == 0
+        assert calls["_analyze"] > 0  # the short chain was refuted by search
+        broken = {p.name for p, result in results.items() if not result.installable}
+        assert broken == set(chain + short)
+        assert all(result.explanation is None for result in results.values())
+        # explained, the short chain's refutations still build cores
+        explained = check_all(make_repo(short + ["x", "y", "z"], deps, [(short[-1], "z")]))
+        assert calls["_support"] > 0
+        assert {p.name for p, r in explained.items() if not r.installable} == set(short)
+        assert all(explained[pid(n)].explanation.dep_edges for n in short)
+
     def test_agrees_with_fresh_single_checks(self):
         # 40 packages mix clean and dirty cones past the brute-force size
         rng = random.Random(4)
@@ -736,7 +773,7 @@ class TestShrinking:
         def trials(repo, target):
             checker = solver.RepositoryChecker(repo)
             query = [checker.clause_set.var_of(target)]
-            sat, core = checker._engine.solve(query)
+            sat, core = checker._engine.solve(query, core=True)
             assert not sat
             solves.clear()
             with monkeypatch.context() as patch:
