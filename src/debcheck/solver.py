@@ -24,7 +24,13 @@ The model of a trial that keeps its edge is rotated to show other edges
 needed without trials of their own (Marques-Silva & Lynce, "On improving
 MUS extraction algorithms", SAT 2011; Belov & Marques-Silva,
 "Accelerating MUS extraction with recursive model rotation", FMCAD
-2011).  Pair queries reuse models: two healthy installations that no
+2011).  The explanations of one `RepositoryChecker` share their pure
+work: a shrink is a function of the core's formula renumbered onto the
+variables it mentions, and a kept clause's rendered line of its clause
+id, so the checker keeps both, and a formula or clause met before costs
+no engine and no formatting.  Each kept result is a function of its key,
+so an explanation still depends only on the repository and the query.
+Pair queries reuse models: two healthy installations that no
 conflict pair spans have a healthy union, so a pair is settled without
 search when witnesses of its packages, from a search-free pass or from
 earlier queries, fit (Vouillon & Di Cosmo, "On software component
@@ -547,6 +553,7 @@ def _render_chains(
     query_vars: list[int],
     dep_edges: dict[int, DependencyEdge],
     conflicts: list[int],
+    lines: dict[int, str] | None = None,
 ) -> tuple[ExplanationChain, ...]:
     """Arrange kept clauses (`dep_edges` maps each dependency clause id to
     its edge; `conflicts` lists conflict clause ids) into readable chains.
@@ -557,18 +564,22 @@ def _render_chains(
     stops at a package with no kept edges or one already expanded, once
     for each kept conflict of the package; a kept conflict that ends no
     chain gets one with no steps.  Each kept clause's line is formatted
-    once, its members in clause order, which is package order.
+    once, its members in clause order, which is package order; `lines`,
+    which maps clause ids of `clause_set` to their lines, keeps them for
+    later calls.
     """
     clauses, origins, ends = clause_set.clauses, clause_set.origins, clause_set.ends
     package_of = clause_set.package_of
-    line: dict[int, str] = {}
+    line: dict[int, str] = {} if lines is None else lines
     for ci, edge in dep_edges.items():
-        members = " ".join(package_of(v).render() for v in clauses[ci][1:]) or "NOT AVAILABLE"
-        line[ci] = f"{edge.package.render()} depends on {edge.clause.label} {{{members}}}"
+        if ci not in line:
+            members = " ".join(package_of(v).render() for v in clauses[ci][1:]) or "NOT AVAILABLE"
+            line[ci] = f"{edge.package.render()} depends on {edge.clause.label} {{{members}}}"
     conflicts_of: dict[int, list[int]] = {}
     for ci in conflicts:
-        a, b = origins[ci]
-        line[ci] = f"{a.render()} conflicts with {b.render()}"
+        if ci not in line:
+            a, b = origins[ci]
+            line[ci] = f"{a.render()} conflicts with {b.render()}"
         for lit in clauses[ci]:
             conflicts_of.setdefault(-lit, []).append(ci)
 
@@ -600,17 +611,27 @@ def _render_chains(
     return tuple(chains)
 
 
-def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int]) -> list[int]:
+def _shrink_edges(
+    clause_set: ClauseSet,
+    query_vars: list[int],
+    core: list[int],
+    memo: dict[tuple, tuple[int, ...]] | None = None,
+) -> list[int]:
     """Greedily drop the clauses of `core` (ascending ids) in turn while the
     kept ones still rule out the query (ascending variables); returns the
     kept clause ids, or `core` itself when the core and the query mention
     more than `_SHRINK_LIMIT` variables.
 
-    One engine decides every trial: with the variables the core and the
-    query mention renumbered 1..n in order, core clause k gets the
-    selector literal -(n+1+k), and a trial assumes the selectors of the
-    clauses it keeps.  A package that no kept clause mentions occurs only
-    negatively and can stay uninstalled, so each verdict is that on
+    With the variables the core and the query mention renumbered 1..n in
+    order, the shrink is a function of the local formula alone: the core's
+    clauses in core order, which variables share a name, and the query.
+    `memo` maps such formulas to the positions in `core` they keep, so a
+    formula met before costs no engine.
+
+    One engine decides every trial: core clause k gets the selector
+    literal -(n+1+k), and a trial assumes the selectors of the clauses it
+    keeps.  A package that no kept clause mentions occurs only negatively
+    and can stay uninstalled, so each verdict is that on
     `Explanation.induced_repository`.
 
     Recursive model rotation skips most trials and keeps the same clauses.
@@ -628,29 +649,46 @@ def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int])
     if len(variables) > _SHRINK_LIMIT:
         return core
     index = {v: i for i, v in enumerate(variables, 1)}
-    n = len(variables)
-    local = [tuple(index[l] if l > 0 else -index[-l] for l in clause) for clause in clauses]
+    local = tuple(tuple(index[l] if l > 0 else -index[-l] for l in clause) for clause in clauses)
+    # each variable's first same-name variable: it fixes the same-name pairs
+    first: dict[str, int] = {}
+    namesakes = tuple(first.setdefault(clause_set.package_of(v).name, i)
+                      for i, v in enumerate(variables, 1))
+    key = (local, namesakes, tuple(index[v] for v in query_vars))
+    if memo is None:
+        memo = {}
+    kept = memo.get(key)
+    if kept is None:
+        kept = memo[key] = _shrink_local(*key)
+    return [core[k] for k in kept]
+
+
+def _shrink_local(
+    local: tuple[tuple[int, ...], ...], namesakes: tuple[int, ...], query: tuple[int, ...]
+) -> tuple[int, ...]:
+    """`_shrink_edges` on the renumbered formula: the ascending positions of
+    the clauses of `local` that greedy deletion keeps.  Variables i and j
+    are same-name versions iff namesakes[i-1] == namesakes[j-1]."""
+    n = len(namesakes)
     trial = [(*clause, -(n + 1 + k)) for k, clause in enumerate(local)]
     # same-name versions conflict in every trial, as in the induced repository
-    names = [clause_set.package_of(v).name for v in variables]
     rivals: list[list[int]] = [[] for _ in range(n + 1)]
     for i, j in combinations(range(1, n + 1), 2):
-        if names[i - 1] == names[j - 1]:
+        if namesakes[i - 1] == namesakes[j - 1]:
             trial.append((-i, -j))
             rivals[i].append(j)
             rivals[j].append(i)
-    engine = _Engine(n + len(core), tuple(trial))
-    query = [index[v] for v in query_vars]
+    engine = _Engine(n + len(local), tuple(trial))
     holding: dict[int, list[int]] = {}  # literal -> the core edges that hold it
     for k, clause in enumerate(local):
         for lit in clause:
             holding.setdefault(lit, []).append(k)
-    kept = set(range(len(core)))  # the working set: kept so far and not yet tried
+    kept = set(range(len(local)))  # the working set: kept so far and not yet tried
     needed: set[int] = set()
-    for k in range(len(core)):
+    for k in range(len(local)):
         if k in needed:
             continue
-        sat, model = engine.solve(query + [n + 1 + j for j in sorted(kept - {k})])
+        sat, model = engine.solve([*query, *(n + 1 + j for j in sorted(kept - {k}))])
         if not sat:
             kept.discard(k)
             continue
@@ -668,7 +706,7 @@ def _shrink_edges(clause_set: ClauseSet, query_vars: list[int], core: list[int])
                 if len(broken) == 1 and broken[0] not in needed:
                     needed.add(broken[0])
                     work.append((broken[0], flipped))
-    return [ci for k, ci in enumerate(core) if k in kept]
+    return tuple(sorted(kept))
 
 
 class RepositoryChecker:
@@ -678,6 +716,12 @@ class RepositoryChecker:
         self.repo = repo
         self.clause_set = encode(repo)
         self._engine = _Engine(len(repo.packages), self.clause_set.clauses)
+        # What explanations share, each entry a function of its key alone:
+        # renumbered formula -> the positions `_shrink_edges` keeps, and
+        # kept clause id -> its `DependencyEdge` and its rendered line.
+        self._shrunk: dict[tuple, tuple[int, ...]] = {}
+        self._edges: dict[int, DependencyEdge] = {}
+        self._lines: dict[int, str] = {}
 
     def query(self, pids: list[PackageId], explain: bool = True) -> CheckResult:
         if not pids:
@@ -810,17 +854,21 @@ class RepositoryChecker:
         clause_set = self.clause_set
         clauses, origins, deps_end = clause_set.clauses, clause_set.origins, clause_set.ends[-1]
         package_of = clause_set.package_of
-        kept = _shrink_edges(clause_set, assumptions, sorted(core))
+        kept = _shrink_edges(clause_set, assumptions, sorted(core), self._shrunk)
 
+        edges = self._edges
         dep_edges: dict[int, DependencyEdge] = {}
         conflicts: list[int] = []
         for ci in kept:
             if ci < deps_end:
-                dep_edges[ci] = DependencyEdge(package_of(-clauses[ci][0]), origins[ci])
+                edge = edges.get(ci)
+                if edge is None:
+                    edge = edges[ci] = DependencyEdge(package_of(-clauses[ci][0]), origins[ci])
+                dep_edges[ci] = edge
             else:  # cores hold base clauses only, so this is a conflict pair
                 conflicts.append(ci)
         queried = tuple(package_of(v) for v in assumptions)
-        chains = _render_chains(clause_set, assumptions, dep_edges, conflicts)
+        chains = _render_chains(clause_set, assumptions, dep_edges, conflicts, self._lines)
         return Explanation(queried, tuple(dep_edges.values()),
                            tuple(origins[ci] for ci in conflicts), chains)
 

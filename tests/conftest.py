@@ -8,6 +8,8 @@ library is always checked against a second, unrelated code path:
   virtual conflicts) by exhaustive enumeration, without any expansion.
 - `reference_health` is a literal transcription of the healthiness
   definition, separate from the library's implementation.
+- `propagation_refutes` replays an explanation by unit propagation over
+  its own edges, without the solver's encoding or engine.
 """
 
 from __future__ import annotations
@@ -190,6 +192,59 @@ def reference_health(installed: frozenset[PackageId], repo: Repository) -> bool:
             if a != b and conflict_pair(a, b) in repo.conflicts:
                 return False
     return True
+
+
+# -- unit-propagation replay of explanations -----------------------------------
+
+
+def propagation_refutes(explanation) -> bool:
+    """Whether unit propagation alone rules out an explanation's query.
+
+    Assume the queried packages installed and apply, until nothing
+    changes: a conflict pair with one end installed removes the other; a
+    dependency edge of an installed package with every member removed is
+    a conflict, and with one member left installs it; a package with an
+    edge whose members are all removed is removed.  The pairs are the
+    explanation's conflict edges plus every two versions of one name
+    among the packages it mentions.  Reaching a conflict (a package both
+    installed and removed) is a proof that the explanation's edges rule
+    the query out, a reverse-unit-propagation check; not reaching one
+    proves nothing either way.
+    """
+    deps = [(edge.package, edge.clause.members) for edge in explanation.dep_edges]
+    mentioned = set(explanation.queried)
+    for owner, members in deps:
+        mentioned.add(owner)
+        mentioned |= members
+    for pair in explanation.conflict_edges:
+        mentioned.update(pair)
+    pairs = list(explanation.conflict_edges)
+    pairs += [(a, b) for a, b in combinations(mentioned, 2) if a.name == b.name]
+
+    installed = set(explanation.queried)
+    removed: set[PackageId] = set()
+    changed = True
+    while changed:
+        if installed & removed:
+            return True
+        changed = False
+        for a, b in pairs:
+            for kept, other in ((a, b), (b, a)):
+                if kept in installed and other not in removed:
+                    removed.add(other)
+                    changed = True
+        for owner, members in deps:
+            left = [m for m in members if m not in removed]
+            if owner in installed:
+                if not left:
+                    return True
+                if len(left) == 1 and left[0] not in installed:
+                    installed.add(left[0])
+                    changed = True
+            elif not left and owner not in removed:
+                removed.add(owner)
+                changed = True
+    return bool(installed & removed)
 
 
 # -- random repository generation ---------------------------------------------

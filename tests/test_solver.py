@@ -30,7 +30,13 @@ from debcheck.solver import (
 )
 from debcheck.stanza import parse_packages
 
-from conftest import CHAIN_SAMPLE, VIRTUAL_SAMPLE, random_repository
+from conftest import (
+    CHAIN_SAMPLE,
+    CONSTRAINT_SAMPLE,
+    VIRTUAL_SAMPLE,
+    propagation_refutes,
+    random_repository,
+)
 from test_acceptance import _synthetic_distribution
 from test_contents import counting_queries
 from test_expand import frontend_inputs
@@ -801,6 +807,147 @@ class TestShrinking:
         mentioned = {abs(lit) for ci in core for lit in clause_set.clauses[ci]}
         assert len({clause_set.package_of(v).name for v in mentioned}) == len(mentioned)
         assert count == 1
+
+
+def shared_tail_family() -> Repository:
+    """40 applications, each on one of four two-step chains, every eighth
+    on either of two chains; the even chains end in a missing library, the
+    odd ones in two libraries that conflict."""
+    blocks = [
+        f"Package: app{i:02d}\nVersion: 1\nDepends: "
+        + (f"mid{i % 4} | mid{(i + 1) % 4}" if i % 8 == 0 else f"mid{i % 4}")
+        for i in range(40)
+    ]
+    for k in range(4):
+        blocks.append(f"Package: mid{k}\nVersion: 1\nDepends: tail{k}")
+        blocks.append(f"Package: tail{k}\nVersion: 1\nDepends: "
+                      + ("libold" if k % 2 == 0 else "libx, liby"))
+    blocks += ["Package: libx\nVersion: 1\nConflicts: liby", "Package: liby\nVersion: 1"]
+    return repo_from("\n\n".join(blocks) + "\n")
+
+
+def _renumbered(clause_set, query, core):
+    """The formula that shrinking `core` for the ascending variables `query`
+    poses, as `_shrink_edges` describes it: its clauses in core order, which
+    variables share a name, and the query, all over the variables renumbered
+    1..n in order; None past `_SHRINK_LIMIT` variables."""
+    clauses = [clause_set.clauses[ci] for ci in sorted(core)]
+    variables = sorted({abs(lit) for clause in clauses for lit in clause}.union(query))
+    if len(variables) > solver._SHRINK_LIMIT:
+        return None
+    local = {v: i for i, v in enumerate(variables, 1)}
+    names = [clause_set.package_of(v).name for v in variables]
+    return (
+        tuple(tuple(local[lit] if lit > 0 else -local[-lit] for lit in clause) for clause in clauses),
+        tuple(names.index(name) for name in names),
+        tuple(local[v] for v in query),
+    )
+
+
+class TestExplanationReuse:
+    def test_reuse_is_exact(self, monkeypatch):
+        """One checker shrinks each distinct renumbered formula on one engine,
+        and every explanation of its `check_all` and of its pair queries
+        after it equals, line for line, that of a fresh checker."""
+        built = []
+
+        class Recording(solver._Engine):
+            def __init__(self, nvars, clauses):
+                built.append(clauses)
+                super().__init__(nvars, clauses)
+
+        rng = random.Random(23)
+        repos = [shared_tail_family()]
+        repos += [random_repository(rng, max_packages=12) for _ in range(60)]
+        shrinks = formulas = 0
+        for repo in repos:
+            checker = solver.RepositoryChecker(repo)
+            built.clear()
+            queries = [(p,) for p in repo.packages] + list(combinations(repo.packages, 2))
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_Engine", Recording)
+                results = checker.check_all(explain=True)
+                results = {(p,): result for p, result in results.items()}
+                results |= {pair: checker.query(list(pair)) for pair in queries[len(repo.packages):]}
+            posed = []
+            for queried in queries:
+                result = results[queried]
+                if result.installable:
+                    continue
+                fresh = check_coinstallable(repo, frozenset(queried))
+                assert fresh.explanation.render_lines() == result.explanation.render_lines()
+                query = sorted({checker.clause_set.var_of(p) for p in queried})
+                sat, core = checker._engine.solve(query, core=True)
+                assert not sat
+                posed.append(_renumbered(checker.clause_set, query, core))
+            distinct = set(posed) - {None}
+            assert len(built) == len(distinct)
+            shrinks += len(posed)
+            formulas += len(distinct)
+        assert formulas < shrinks / 2
+
+
+def _explained(repo):
+    """The explanations of every broken package of `repo` and of every
+    pair of its packages that is not co-installable, from one checker."""
+    checker = solver.RepositoryChecker(repo)
+    results = [r for r in checker.check_all(explain=True).values() if not r.installable]
+    results += [checker.query(list(pair)) for pair in combinations(repo.packages, 2)]
+    return [r.explanation for r in results if not r.installable]
+
+
+class TestPropagationReplay:
+    """Every explanation replays by unit propagation over its own edges
+    (`propagation_refutes`), or else, when its induced repository holds
+    at most 20 packages, by brute force."""
+
+    @pytest.mark.parametrize("text", [CHAIN_SAMPLE, VIRTUAL_SAMPLE, CONSTRAINT_SAMPLE])
+    def test_samples_replay(self, text):
+        explanations = _explained(repo_from(text))
+        assert explanations
+        assert all(self.replay(e) for e in explanations)
+
+    def test_sample_3000_replays(self, sample_3000):
+        results = check_all(sample_3000, explain=True).values()
+        explanations = [r.explanation for r in results if not r.installable]
+        assert len(explanations) == 95
+        unverified = [e.queried for e in explanations if not self.replay(e)]
+        assert not unverified  # too large for brute force, and propagation fails
+
+    @staticmethod
+    def replay(explanation) -> bool:
+        """True if some oracle refutes the query on the explanation's edges;
+        False if the explanation is too large for brute force."""
+        if propagation_refutes(explanation):
+            return True
+        induced = explanation.induced_repository()
+        if len(induced.packages) > 20:
+            return False
+        assert not brute_force_check(induced, frozenset(explanation.queried))
+        return True
+
+    def test_dropping_a_kept_edge_fails_the_replay(self, sample_3000):
+        """A shrunk explanation needs every kept edge, so without any one of
+        them propagation must not reach a conflict."""
+        explanations = _explained(shared_tail_family()) + _explained(repo_from(CHAIN_SAMPLE))
+        explanations += [
+            r.explanation for r in check_all(sample_3000, explain=True).values() if not r.installable
+        ]
+        mutants = 0
+        for explanation in explanations:
+            assert propagation_refutes(explanation)
+            if len(explanation.mentioned_packages()) > solver._SHRINK_LIMIT:
+                continue  # not shrunk, so an edge may be redundant
+            deps, pairs = explanation.dep_edges, explanation.conflict_edges
+            for k in range(len(deps)):
+                rest = Explanation(explanation.queried, deps[:k] + deps[k + 1:], pairs, ())
+                assert not propagation_refutes(rest)
+                mutants += 1
+            for k in range(len(pairs)):
+                rest = Explanation(explanation.queried, deps, pairs[:k] + pairs[k + 1:], ())
+                assert not propagation_refutes(rest)
+                mutants += 1
+        assert mutants > 500
 
 
 def test_no_engine_clause_repeats_a_literal(monkeypatch):
