@@ -10,7 +10,9 @@ The main form reads a Packages file (standard input when FILE is absent),
 checks the selected packages (all of them by default), and exits 0 when
 everything selected is installable, 1 otherwise, 2 on input errors.
 Progress and diagnostics go to standard error; the report itself is
-deterministic for a given input.
+deterministic for a given input, and goes to standard output in a few
+large writes.  Any command exits 2, silently, when its reader closes
+standard output before the report is written (as `| head` does).
 """
 
 from __future__ import annotations
@@ -18,17 +20,53 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable, Iterator
 
-from .contents import CandidateStatus, classify_pairs, parse_contents, shared_file_pairs
+from .contents import (
+    CandidateStatus,
+    ConflictCandidate,
+    classify_pairs,
+    parse_contents,
+    shared_file_pairs,
+)
 from .expand import PackageId, Repository, build_repository, expand, package_sort_key
 from .solver import CheckResult, RepositoryChecker
 from .solver import check_all  # noqa: F401  bench/tracer.py wraps cli.check_all by name
 from .stanza import ParseResult, parse_packages
-from .weather import summarize
+from .weather import Summary, summarize
+
+
+#: Characters a report gathers into one write.  Pieces are one JSON token
+#: or one line each, so writing them one by one costs a system call apiece
+#: when standard output is unbuffered; bounded batches keep the joined
+#: text small next to the report.
+_WRITE_BATCH = 1 << 16
+
+
+def _write_report(out: IO, pieces: Iterable[str]) -> None:
+    """Write `pieces` to `out` in order, joined into batches of at least
+    `_WRITE_BATCH` characters (the last batch may be shorter)."""
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _WRITE_BATCH:
+            out.write("".join(batch))
+            batch.clear()
+            size = 0
+    if batch:
+        out.write("".join(batch))
+
+
+def _json_pieces(document: object) -> Iterator[str]:
+    """`document` as `json.dump(document, f, indent=2)` writes it, then a newline."""
+    yield from json.JSONEncoder(indent=2).iterencode(document)
+    yield "\n"
 
 
 @dataclass
@@ -176,28 +214,33 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
                 and (not args.successes_only or result.installable)
             ],
         }
-        json.dump(document, out, indent=2)
-        out.write("\n")
+        _write_report(out, _json_pieces(document))
     else:
-        for pid, result in ordered:
-            if result.installable:
-                if args.successes_only:
-                    print(f"{pid.render()}: installable", file=out)
-                continue
-            if args.successes_only:
-                continue
-            print(f"{pid.render()}: NOT INSTALLABLE", file=out)
-            if args.explain and result.explanation is not None:
-                for line in result.explanation.render_lines():
-                    print(f"  {line}", file=out)
-        print(
-            f"{summary.total} packages, "
-            f"{summary.broken} not installable"
-            f" ({summary.category.value})",
-            file=out,
-        )
+        _write_report(out, _text_report(ordered, args, summary))
 
     return 0 if summary.broken == 0 else 1
+
+
+def _text_report(
+    ordered: list[tuple[PackageId, CheckResult]], args: argparse.Namespace, summary: Summary
+) -> Iterator[str]:
+    """The lines of the check command's text report."""
+    for pid, result in ordered:
+        if result.installable:
+            if args.successes_only:
+                yield f"{pid.render()}: installable\n"
+            continue
+        if args.successes_only:
+            continue
+        yield f"{pid.render()}: NOT INSTALLABLE\n"
+        if args.explain and result.explanation is not None:
+            for line in result.explanation.render_lines():
+                yield f"  {line}\n"
+    yield (
+        f"{summary.total} packages, "
+        f"{summary.broken} not installable"
+        f" ({summary.category.value})\n"
+    )
 
 
 def _conflicts_parser() -> argparse.ArgumentParser:
@@ -249,27 +292,25 @@ def run_conflicts(argv: list[str], out: IO, err: IO) -> int:
                 for pair, message in outcome.undetermined
             ],
         }
-        json.dump(document, out, indent=2)
-        out.write("\n")
+        _write_report(out, _json_pieces(document))
     else:
-        for candidate in outcome.classified:
-            a, b = candidate.pair
-            shown = ", ".join(candidate.shared_paths[:5])
-            extra = len(candidate.shared_paths) - 5
-            if extra > 0:
-                shown += f" (+{extra} more)"
-            print(f"{a} -- {b}: {candidate.status.value}: {shown}", file=out)
-        candidates = sum(
-            1
-            for candidate in outcome.classified
-            if candidate.status is CandidateStatus.CANDIDATE
-        )
-        print(
-            f"{len(outcome.classified)} sharing pairs, "
-            f"{candidates} overwrite candidates",
-            file=out,
-        )
+        _write_report(out, _conflicts_text(outcome.classified))
     return 0
+
+
+def _conflicts_text(classified: list[ConflictCandidate]) -> Iterator[str]:
+    """The lines of the conflicts command's text report."""
+    for candidate in classified:
+        a, b = candidate.pair
+        shown = ", ".join(candidate.shared_paths[:5])
+        extra = len(candidate.shared_paths) - 5
+        if extra > 0:
+            shown += f" (+{extra} more)"
+        yield f"{a} -- {b}: {candidate.status.value}: {shown}\n"
+    candidates = sum(
+        1 for candidate in classified if candidate.status is CandidateStatus.CANDIDATE
+    )
+    yield f"{len(classified)} sharing pairs, {candidates} overwrite candidates\n"
 
 
 def _aggregate_parser() -> argparse.ArgumentParser:
@@ -353,20 +394,14 @@ def run_aggregate(argv: list[str], out: IO, err: IO) -> int:
                      "broken_only_here": len(only_here)})
 
     if args.format == "json":
-        json.dump(
-            {"architectures": rows, "some": some, "every": every},
-            out,
-            indent=2,
-        )
-        out.write("\n")
+        pieces = _json_pieces({"architectures": rows, "some": some, "every": every})
     else:
-        for row in rows:
-            print(
-                f"{row['architecture']}: {row['broken']} broken"
-                f" ({row['broken_only_here']} only here)",
-                file=out,
-            )
-        print(f"some: {len(some)}   every: {len(every)}", file=out)
+        pieces = [
+            *(f"{row['architecture']}: {row['broken']} broken"
+              f" ({row['broken_only_here']} only here)\n" for row in rows),
+            f"some: {len(some)}   every: {len(every)}\n",
+        ]
+    _write_report(out, pieces)
     return 0
 
 
@@ -377,6 +412,12 @@ def main(argv: list[str] | None = None) -> int:
     the repository, the clause set) and makes next to no cycles, so the
     collector's full passes over them are pure overhead.  The caller's
     collector state is restored on the way out, exceptions included.
+
+    The report is flushed before returning, so a reader that closed
+    standard output shows here as `BrokenPipeError`.  Standard output then
+    points at the null device, so that the interpreter's flush at exit,
+    which would meet the closed pipe again, writes nowhere, and the
+    command exits 2.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -384,11 +425,18 @@ def main(argv: list[str] | None = None) -> int:
         argv = list(sys.argv[1:] if argv is None else argv)
         out, err = sys.stdout, sys.stderr
         if argv and argv[0] == "conflicts":
-            return run_conflicts(argv[1:], out, err)
-        if argv and argv[0] == "aggregate":
-            return run_aggregate(argv[1:], out, err)
-        args = _parser().parse_args(argv)
-        return run_check(args, sys.stdin, out, err)
+            code = run_conflicts(argv[1:], out, err)
+        elif argv and argv[0] == "aggregate":
+            code = run_aggregate(argv[1:], out, err)
+        else:
+            code = run_check(_parser().parse_args(argv), sys.stdin, out, err)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     finally:
         if enabled:
             gc.enable()

@@ -24,11 +24,17 @@ The model of a trial that keeps its edge is rotated to show other edges
 needed without trials of their own (Marques-Silva & Lynce, "On improving
 MUS extraction algorithms", SAT 2011; Belov & Marques-Silva,
 "Accelerating MUS extraction with recursive model rotation", FMCAD
-2011).  The explanations of one `RepositoryChecker` share their pure
-work: a shrink is a function of the core's formula renumbered onto the
-variables it mentions, and a kept clause's rendered line of its clause
-id, so the checker keeps both, and a formula or clause met before costs
-no engine and no formatting.  Each kept result is a function of its key,
+2011).  A clause is needed iff dropping it makes the rest satisfiable,
+so some cores are shown minimal with no trial at all: when a
+single-package query's core holds one dependency clause per package
+and no conflict, and reaches every clause's package along a path of
+distinct names, installing the path to any package satisfies the core
+without that package's clause, so every clause is kept.  The
+explanations of one `RepositoryChecker` share their pure work: a shrink
+is a function of the core's formula renumbered onto the variables it
+mentions, and a kept clause's rendered line of its clause id, so the
+checker keeps both, and a formula or clause met before costs no engine
+and no formatting.  Each kept result is a function of its key,
 so an explanation still depends only on the repository and the query.
 Pair queries reuse models: two healthy installations that no
 conflict pair spans have a healthy union, so a pair is settled without
@@ -628,6 +634,9 @@ def _shrink_edges(
     `memo` maps such formulas to the positions in `core` they keep, so a
     formula met before costs no engine.
 
+    A core that `_minimal_by_paths` certifies is returned as it is, with
+    no renumbering and no engine: greedy deletion keeps all of it.
+
     One engine decides every trial: core clause k gets the selector
     literal -(n+1+k), and a trial assumes the selectors of the clauses it
     keeps.  A package that no kept clause mentions occurs only negatively
@@ -644,6 +653,8 @@ def _shrink_edges(
     those are subsets of W that hold c.  Deletion would keep c, so c is
     kept untried, and the rotation goes on from the flipped model and c.
     """
+    if _minimal_by_paths(clause_set, query_vars, core):
+        return core
     clauses = [clause_set.clauses[ci] for ci in core]
     variables = sorted({abs(lit) for clause in clauses for lit in clause}.union(query_vars))
     if len(variables) > _SHRINK_LIMIT:
@@ -661,6 +672,48 @@ def _shrink_edges(
     if kept is None:
         kept = memo[key] = _shrink_local(*key)
     return [core[k] for k in kept]
+
+
+def _minimal_by_paths(clause_set: ClauseSet, query_vars: list[int], core: list[int]) -> bool:
+    """Whether greedy deletion provably keeps every clause of `core`, so
+    that `_shrink_edges` need not try any.
+
+    It holds when the query is one package, the core is dependency
+    clauses only, one per owning package, and a depth-first walk from the
+    queried package along the members of those clauses reaches every
+    owner on a path that repeats no package name.  Proof: for an owner q,
+    install exactly the packages on the path to q.  Each of them but q has
+    its one clause met by the next package on the path, q's clause is the
+    one dropped, every other owner stays uninstalled, the path holds no
+    two versions of a name, and the core holds no conflict pair.  So every
+    deletion trial is satisfiable, and greedy deletion keeps the whole
+    core.  A core it declines is shrunk by trials.
+    """
+    if len(query_vars) != 1:
+        return False
+    clauses, deps_end, package_of = clause_set.clauses, clause_set.ends[-1], clause_set.package_of
+    owned: dict[int, tuple[int, ...]] = {}  # owner -> the members of its one clause
+    for ci in core:
+        clause = clauses[ci]
+        if ci >= deps_end or -clause[0] in owned:
+            return False
+        owned[-clause[0]] = clause[1:]
+    # a popped -v leaves v's path; the names on the current path are `path`
+    root = query_vars[0]
+    stack, seen, path, reached = [root], {root}, set(), 0
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            path.discard(package_of(-v).name)
+            continue
+        reached += 1
+        path.add(package_of(v).name)
+        stack.append(-v)
+        for m in owned.get(v, ()):
+            if m in owned and m not in seen and package_of(m).name not in path:
+                seen.add(m)
+                stack.append(m)
+    return reached == len(owned) and root in owned
 
 
 def _shrink_local(

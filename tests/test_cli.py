@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import os
@@ -473,6 +474,64 @@ class TestAggregateCommand:
         code, _, err = run(["aggregate", str(path)], capsys)
         assert code == 2
         assert "cannot read report" in err
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestReportOutput:
+    def test_reports_arrive_in_a_few_writes(self, sample_file, monkeypatch):
+        """Each report reaches standard output in about one write per
+        `_WRITE_BATCH` characters, with the bytes that the CLI wrote when
+        it made one write per JSON token or per line: the digests below
+        were taken from those reports."""
+        dist = sample_file(_synthetic_distribution(count=3000))
+        text, contents = _backjump_gadgets(200)
+        conflicts = ["conflicts", "--contents", sample_file(contents, "Contents"),
+                     "--packages", sample_file(text, "Gadgets")]
+        for argv, code, digest in (
+            (["--explain", "--format=json", dist], 1, "11da7f6d752f1820"),
+            (["--explain", dist], 1, "bf94342a4817cdb8"),
+            (conflicts, 0, "5bc15be7ffb9d003"),
+        ):
+            out = _CountingStream()
+            monkeypatch.setattr(sys, "stdout", out)
+            monkeypatch.setattr(sys, "stderr", io.StringIO())
+            assert main(argv) == code
+            report = out.getvalue()
+            assert hashlib.sha256(report.encode()).hexdigest()[:16] == digest
+            assert out.writes <= len(report) // cli._WRITE_BATCH + 1, (argv[0], out.writes)
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_pipe_exits_two(self, sample_file, tmp_path, unbuffered):
+        """A reader that stops after the first line, as `| head -1` does,
+        ends the run with exit 2 and no traceback, with standard output
+        unbuffered or not.  The report is far larger than a pipe holds."""
+        path = sample_file(_synthetic_distribution(count=3000))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "PYTHONUNBUFFERED": unbuffered}
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "debcheck.cli", "--explain", "--format=json", path],
+                stdout=subprocess.PIPE, stderr=err, env=env,
+            )
+            try:
+                assert proc.stdout.readline() == b"{\n"
+                proc.stdout.close()
+                code = proc.wait(timeout=20)
+            finally:
+                proc.kill()
+        stderr = (tmp_path / "stderr").read_text()
+        assert code == 2, stderr
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert "Checking packages" in stderr
 
 
 def _fragments(*parts):

@@ -767,8 +767,9 @@ class TestShrinking:
 
     def test_rotation_saves_trials(self, monkeypatch):
         """A shrink never solves more often than its core has edges, and
-        over random repositories far less often; a doomed chain whose core
-        names no package twice needs a single trial."""
+        over random repositories far less often.  A doomed chain whose core
+        names no package twice is certified minimal and costs no solve;
+        shrinking its formula by trials takes a single one."""
         solves = []
 
         class Recording(solver._Engine):
@@ -776,16 +777,20 @@ class TestShrinking:
                 solves.append(assumptions)
                 return super().solve(assumptions)
 
+        def counted(shrink, *args):
+            solves.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_Engine", Recording)
+                shrink(*args)
+            return len(solves)
+
         def trials(repo, target):
             checker = solver.RepositoryChecker(repo)
             query = [checker.clause_set.var_of(target)]
             sat, core = checker._engine.solve(query, core=True)
             assert not sat
-            solves.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(solver, "_Engine", Recording)
-                solver._shrink_edges(checker.clause_set, query, sorted(core))
-            return len(solves), core, checker.clause_set
+            count = counted(solver._shrink_edges, checker.clause_set, query, sorted(core))
+            return count, core, checker.clause_set, query
 
         rng = random.Random(11)
         edges = spent = 0
@@ -794,7 +799,7 @@ class TestShrinking:
             for target in repo.packages:
                 if check_installable(repo, target).installable:
                     continue
-                count, core, _ = trials(repo, target)
+                count, core, _, _ = trials(repo, target)
                 assert count <= len(core)
                 edges += len(core)
                 spent += count
@@ -802,11 +807,12 @@ class TestShrinking:
 
         names = [f"p{i:02d}" for i in range(30)]
         chain = make_repo(names, {a: [[b]] for a, b in zip(names, names[1:])} | {"p29": [[]]}, [])
-        count, core, clause_set = trials(chain, pid("p00"))
+        count, core, clause_set, query = trials(chain, pid("p00"))
         assert len(core) == 30
         mentioned = {abs(lit) for ci in core for lit in clause_set.clauses[ci]}
         assert len({clause_set.package_of(v).name for v in mentioned}) == len(mentioned)
-        assert count == 1
+        assert count == 0
+        assert counted(solver._shrink_local, *_renumbered(clause_set, query, core)) == 1
 
 
 def shared_tail_family() -> Repository:
@@ -846,9 +852,11 @@ def _renumbered(clause_set, query, core):
 
 class TestExplanationReuse:
     def test_reuse_is_exact(self, monkeypatch):
-        """One checker shrinks each distinct renumbered formula on one engine,
-        and every explanation of its `check_all` and of its pair queries
-        after it equals, line for line, that of a fresh checker."""
+        """One checker shrinks each distinct renumbered formula of the cores
+        `_minimal_by_paths` declines on one engine, and builds none for the
+        cores it certifies; every explanation of its `check_all` and of its
+        pair queries after it equals, line for line, that of a fresh
+        checker."""
         built = []
 
         class Recording(solver._Engine):
@@ -859,7 +867,7 @@ class TestExplanationReuse:
         rng = random.Random(23)
         repos = [shared_tail_family()]
         repos += [random_repository(rng, max_packages=12) for _ in range(60)]
-        shrinks = formulas = 0
+        shrinks = formulas = certified = 0
         for repo in repos:
             checker = solver.RepositoryChecker(repo)
             built.clear()
@@ -879,12 +887,63 @@ class TestExplanationReuse:
                 query = sorted({checker.clause_set.var_of(p) for p in queried})
                 sat, core = checker._engine.solve(query, core=True)
                 assert not sat
-                posed.append(_renumbered(checker.clause_set, query, core))
+                shrinks += 1
+                if solver._minimal_by_paths(checker.clause_set, query, sorted(core)):
+                    certified += 1
+                else:
+                    posed.append(_renumbered(checker.clause_set, query, core))
             distinct = set(posed) - {None}
             assert len(built) == len(distinct)
-            shrinks += len(posed)
             formulas += len(distinct)
-        assert formulas < shrinks / 2
+        assert formulas < shrinks / 2 and certified > 50, (formulas, shrinks, certified)
+
+
+class TestMinimalCores:
+    def test_certified_cores_are_kept_whole(self):
+        """Trial shrinking keeps the whole of every core `_minimal_by_paths`
+        certifies, on repositories with several versions of some name; and
+        the certificate both accepts and declines many cores."""
+        rng = random.Random(53)
+        accepted = declined = 0
+        for _ in range(400):
+            repo = random_repository(rng, max_packages=12)
+            if len({p.name for p in repo.packages}) == len(repo.packages):
+                continue
+            checker = solver.RepositoryChecker(repo)
+            for target in repo.packages:
+                query = [checker.clause_set.var_of(target)]
+                sat, core = checker._engine.solve(query, core=True)
+                if sat:
+                    continue
+                core = sorted(core)
+                if not solver._minimal_by_paths(checker.clause_set, query, core):
+                    declined += 1
+                    continue
+                accepted += 1
+                kept = solver._shrink_local(*_renumbered(checker.clause_set, query, core))
+                assert kept == tuple(range(len(core)))
+        assert accepted > 400 and declined > 400, (accepted, declined)
+
+    def test_repeated_name_on_the_path_is_declined(self):
+        """p needs x (= 1), which needs x (= 2), which needs a missing
+        package.  Each package has one dependency, yet x (= 2) is reached
+        only past another version of x, and the two cannot be installed
+        together, so x (= 2)'s dependency is not needed."""
+        repo = repo_from(
+            "Package: p\nVersion: 1\nDepends: x (= 1)\n\n"
+            "Package: x\nVersion: 1\nDepends: x (= 2)\n\n"
+            "Package: x\nVersion: 2\nDepends: gone\n"
+        )
+        clause_set = encode(repo)
+        core = list(range(clause_set.ends[-1]))
+        assert len(core) == 3
+        query = [clause_set.var_of(pid("p"))]
+        assert not solver._minimal_by_paths(clause_set, query, core)
+        kept = solver._shrink_edges(clause_set, query, core)
+        assert sorted(clause_set.origins[ci].label for ci in kept) == ["x (= 1)", "x (= 2)"]
+        # from x (= 2) no name repeats, and its one clause is needed
+        gone = [ci for ci in core if clause_set.origins[ci].label == "gone"]
+        assert solver._minimal_by_paths(clause_set, [clause_set.var_of(pid("x", "2"))], gone)
 
 
 def _explained(repo):
