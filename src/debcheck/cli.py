@@ -11,8 +11,13 @@ checks the selected packages (all of them by default), and exits 0 when
 everything selected is installable, 1 otherwise, 2 on input errors.
 Progress and diagnostics go to standard error; the report itself is
 deterministic for a given input, and goes to standard output in a few
-large writes.  Any command exits 2, silently, when its reader closes
-standard output before the report is written (as `| head` does).
+large writes.  JSON reports read as `json.dump(document, indent=2)`
+writes them.  The check command's report, which can hold a line per
+explanation step for most of an archive, comes from a writer made for
+its schema (`_check_json`): before 3.13, `json` encodes token by token
+in pure Python whenever `indent` is set.  Any command exits 2, silently,
+when its reader closes standard output before the report is written (as
+`| head` does).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Iterator
 
 from .contents import (
@@ -67,6 +73,36 @@ def _json_pieces(document: object) -> Iterator[str]:
     """`document` as `json.dump(document, f, indent=2)` writes it, then a newline."""
     yield from json.JSONEncoder(indent=2).iterencode(document)
     yield "\n"
+
+
+def _check_json(document: dict) -> Iterator[str]:
+    """A check report as `_json_pieces` writes it, one piece per result.
+
+    Before 3.13, CPython's `json` encodes in pure Python, token by token,
+    whenever `indent` is set.  This writer knows the report's schema: its
+    scalar members, then `results`, a list of objects with `package`,
+    `version`, `installable` and, at will, `explanation`, a list of
+    strings.  Strings go through `encode_basestring_ascii`, the escaping
+    that `json` itself applies, and the other scalars through `json.dumps`.
+    """
+    head = [f"{encode_basestring_ascii(key)}: {json.dumps(value)}"
+            for key, value in document.items() if key != "results"]
+    results = document["results"]
+    yield "{\n  " + ",\n  ".join(head) + ',\n  "results": ' + ("[" if results else "[]")
+    separator = "\n"
+    for entry in results:
+        text = (f'{separator}    {{\n      "package": {encode_basestring_ascii(entry["package"])},'
+                f'\n      "version": {encode_basestring_ascii(entry["version"])},'
+                f'\n      "installable": {"true" if entry["installable"] else "false"}')
+        lines = entry.get("explanation")
+        if lines:
+            text += (',\n      "explanation": [\n        '
+                     + ",\n        ".join(map(encode_basestring_ascii, lines)) + "\n      ]")
+        elif lines is not None:
+            text += ',\n      "explanation": []'
+        yield text + "\n    }"
+        separator = ",\n"
+    yield "\n  ]\n}\n" if results else "\n}\n"
 
 
 @dataclass
@@ -214,7 +250,7 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
                 and (not args.successes_only or result.installable)
             ],
         }
-        _write_report(out, _json_pieces(document))
+        _write_report(out, _check_json(document))
     else:
         _write_report(out, _text_report(ordered, args, summary))
 

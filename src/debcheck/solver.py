@@ -17,7 +17,8 @@ remain.  When a query asks for an explanation, learned clauses record
 which clauses they were resolved from, which yields an unsatisfiable
 core without a separate proof pass; a verdict alone tracks none of it.
 Every solve starts from the base state, so a result depends only on the
-repository and the query.  A small explanation is shrunk on an engine of
+repository and the query; a query whose first package the base state
+already rules out is answered from that state's reasons, without search.  A small explanation is shrunk on an engine of
 its own whose edges carry selector literals, so a trial drops an edge by
 leaving its selector out of the assumptions (Eén & Sörensson, SAT 2003).
 The model of a trial that keeps its edge is rotated to show other edges
@@ -48,8 +49,10 @@ explanations are reproducible run to run.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -110,6 +113,16 @@ class ClauseSet:
 
     def var_of(self, pid: PackageId) -> int:
         return self.index[pid]
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Each variable's package name, at the variable's position."""
+        return ("", *(pid.name for pid in self.packages))
+
+    @cached_property
+    def rendered(self) -> tuple[str, ...]:
+        """Each variable's `PackageId.render()`, at the variable's position."""
+        return ("", *(pid.render() for pid in self.packages))
 
     def package_of(self, var: int) -> PackageId:
         return self.packages[var - 1]
@@ -380,20 +393,25 @@ class _Engine:
         """The base clause ids that the assignments of `variables` rest on:
         the reasons of everything they follow from, each learned reason
         standing for its derivation."""
-        bases: set[int] = set()
+        reason, clauses, flat = self.reason, self.clauses, self.flat_bases
+        reasons: set[int] = set()
         stack = list(variables)
-        visited = set()
+        seen = set(stack)
         while stack:
-            v = stack.pop()
-            if v in visited:
+            r = reason[stack.pop()]
+            if r is None:  # an assumption or a decision
                 continue
-            visited.add(v)
-            r = self.reason[v]
-            if r is None:
-                continue
-            bases.update(self.flat_bases.get(r, (r,)))
-            stack.extend(abs(lit) for lit in self.clauses[r] if abs(lit) != v)
-        return bases
+            reasons.add(r)
+            for v in map(abs, clauses[r]):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        learned = reasons.intersection(flat)
+        if learned:
+            reasons -= learned
+            for r in learned:
+                reasons |= flat[r]
+        return reasons
 
     def _add_learned(self, lits: list[int], bases: set[int] | None) -> int:
         ci = len(self.clauses)
@@ -427,7 +445,12 @@ class _Engine:
         conflict analysis tracks no derivations, so refuting a package that
         a deep chain fixes false costs no walk of the chain.  The engine is
         back in its base state afterwards.
+
+        A first assumption that the base state already falsifies is
+        answered without search, with nothing to undo.
         """
+        if self.value[assumptions[0]] == -1:
+            return False, self._support(assumptions[:1]) if core else None
         try:
             while True:
                 conflict = self._propagate()
@@ -557,63 +580,74 @@ class CheckResult:
 def _render_chains(
     clause_set: ClauseSet,
     query_vars: list[int],
-    dep_edges: dict[int, DependencyEdge],
+    kept_of: dict[int, list[int]],
     conflicts: list[int],
-    lines: dict[int, str] | None = None,
+    edges: dict[int, DependencyEdge],
+    lines: dict[int, str],
 ) -> tuple[ExplanationChain, ...]:
-    """Arrange kept clauses (`dep_edges` maps each dependency clause id to
-    its edge; `conflicts` lists conflict clause ids) into readable chains.
+    """Arrange kept clauses into readable chains: `kept_of` maps each
+    package variable to its kept dependency clause ids in clause order,
+    `conflicts` lists the kept conflict clause ids, and `edges` maps each
+    kept dependency clause id to its edge.
 
     Depth-first from each queried variable, on an explicit stack so that
-    chains of any depth render; a package's kept edges, in clause order,
-    are expanded once, so shared sub-reasons are not repeated.  A chain
-    stops at a package with no kept edges or one already expanded, once
-    for each kept conflict of the package; a kept conflict that ends no
-    chain gets one with no steps.  Each kept clause's line is formatted
-    once, its members in clause order, which is package order; `lines`,
-    which maps clause ids of `clause_set` to their lines, keeps them for
-    later calls.
+    chains of any depth render.  A package's kept edges are expanded once,
+    when the walk takes them out of `kept_of`, so shared sub-reasons are
+    not repeated.  A chain stops at a package with no kept edges or one
+    already expanded, once for each kept conflict of the package; a kept
+    conflict that ends no chain gets one with no steps.  Each kept
+    clause's line is formatted once, its members in clause order, which
+    is package order; `lines`, which maps clause ids of `clause_set` to
+    their lines, keeps them for later calls.
     """
-    clauses, origins, ends = clause_set.clauses, clause_set.origins, clause_set.ends
-    package_of = clause_set.package_of
-    line: dict[int, str] = {} if lines is None else lines
-    for ci, edge in dep_edges.items():
-        if ci not in line:
-            members = " ".join(package_of(v).render() for v in clauses[ci][1:]) or "NOT AVAILABLE"
-            line[ci] = f"{edge.package.render()} depends on {edge.clause.label} {{{members}}}"
+    clauses, origins, rendered = clause_set.clauses, clause_set.origins, clause_set.rendered
     conflicts_of: dict[int, list[int]] = {}
     for ci in conflicts:
-        if ci not in line:
-            a, b = origins[ci]
-            line[ci] = f"{a.render()} conflicts with {b.render()}"
+        if ci not in lines:
+            a, b = clauses[ci]
+            lines[ci] = f"{rendered[-a]} conflicts with {rendered[-b]}"
         for lit in clauses[ci]:
             conflicts_of.setdefault(-lit, []).append(ci)
 
-    def chain(path: tuple[int, ...], end: int | None = None) -> ExplanationChain:
-        steps = tuple(dep_edges[ci] for ci in path)
-        if end is None:
-            return ExplanationChain(steps, None, tuple(line[ci] for ci in path))
-        return ExplanationChain(steps, origins[end], tuple(line[ci] for ci in path + (end,)))
-
     chains: list[ExplanationChain] = []
-    expanded: set[int] = set()
-    # (variable to walk, kept clause ids so far); variable 0 stands for the
-    # missing member of a dependency with no members
-    stack: list[tuple[int, tuple[int, ...]]] = [(v, ()) for v in reversed(query_vars)]
+    # The steps and lines from a queried variable to the popped one are
+    # steps[:depth] and shown[:depth].  Stack entries are (variable, its
+    # depth, the last step and line of its path); variable 0 stands for
+    # the missing member of a dependency with no members.
+    steps: list[DependencyEdge] = []
+    shown: list[str] = []
+    stack: list[tuple] = [(v, 0, None, None) for v in reversed(query_vars)]
     while stack:
-        var, path = stack.pop()
-        edges = [ci for ci in range(ends[var - 1], ends[var]) if ci in dep_edges] if var else []
-        if var in expanded or not edges:
-            stops = conflicts_of.get(var, [])
-            chains.extend(chain(path, end) for end in stops)
-            if path and not stops:
-                chains.append(chain(path))
+        var, depth, step, line = stack.pop()
+        if depth:
+            steps[depth - 1:] = (step,)
+            shown[depth - 1:] = (line,)
+        owned = kept_of.pop(var, None)  # so a package is expanded once
+        if owned is None:
+            stops = conflicts_of.get(var)
+            if stops:
+                path = tuple(steps[:depth])
+                for end in stops:
+                    chains.append(
+                        ExplanationChain(path, origins[end], (*shown[:depth], lines[end])))
+            elif depth:
+                chains.append(ExplanationChain(tuple(steps), None, tuple(shown)))
             continue
-        expanded.add(var)
-        stack.extend(reversed([(m, path + (ci,)) for ci in edges for m in clauses[ci][1:] or (0,)]))
-    # e.g. a conflict between two packages that were each reached once and expanded
-    ended = {c.conflict for c in chains}
-    chains.extend(chain((), ci) for ci in conflicts if origins[ci] not in ended)
+        depth += 1
+        for ci in reversed(owned):
+            step = edges[ci]
+            line = lines.get(ci)
+            if line is None:
+                owner, *members = clauses[ci]
+                shown_members = " ".join(map(rendered.__getitem__, members)) or "NOT AVAILABLE"
+                line = lines[ci] = (f"{rendered[-owner]} depends on {step.clause.label}"
+                                    f" {{{shown_members}}}")
+            stack.extend([(m, depth, step, line) for m in clauses[ci][:0:-1] or (0,)])
+    if conflicts:
+        # e.g. a conflict between two packages that were each reached once and expanded
+        ended = {chain.conflict for chain in chains}
+        chains.extend(ExplanationChain((), origins[ci], (lines[ci],))
+                      for ci in conflicts if origins[ci] not in ended)
     return tuple(chains)
 
 
@@ -663,8 +697,8 @@ def _shrink_edges(
     local = tuple(tuple(index[l] if l > 0 else -index[-l] for l in clause) for clause in clauses)
     # each variable's first same-name variable: it fixes the same-name pairs
     first: dict[str, int] = {}
-    namesakes = tuple(first.setdefault(clause_set.package_of(v).name, i)
-                      for i, v in enumerate(variables, 1))
+    names = clause_set.names
+    namesakes = tuple(first.setdefault(names[v], i) for i, v in enumerate(variables, 1))
     key = (local, namesakes, tuple(index[v] for v in query_vars))
     if memo is None:
         memo = {}
@@ -675,8 +709,8 @@ def _shrink_edges(
 
 
 def _minimal_by_paths(clause_set: ClauseSet, query_vars: list[int], core: list[int]) -> bool:
-    """Whether greedy deletion provably keeps every clause of `core`, so
-    that `_shrink_edges` need not try any.
+    """Whether greedy deletion provably keeps every clause of `core`
+    (ascending ids), so that `_shrink_edges` need not try any.
 
     It holds when the query is one package, the core is dependency
     clauses only, one per owning package, and a depth-first walk from the
@@ -689,31 +723,28 @@ def _minimal_by_paths(clause_set: ClauseSet, query_vars: list[int], core: list[i
     deletion trial is satisfiable, and greedy deletion keeps the whole
     core.  A core it declines is shrunk by trials.
     """
-    if len(query_vars) != 1:
+    if len(query_vars) != 1 or not core or core[-1] >= clause_set.ends[-1]:
         return False
-    clauses, deps_end, package_of = clause_set.clauses, clause_set.ends[-1], clause_set.package_of
-    owned: dict[int, tuple[int, ...]] = {}  # owner -> the members of its one clause
-    for ci in core:
-        clause = clauses[ci]
-        if ci >= deps_end or -clause[0] in owned:
-            return False
-        owned[-clause[0]] = clause[1:]
-    # a popped -v leaves v's path; the names on the current path are `path`
     root = query_vars[0]
-    stack, seen, path, reached = [root], {root}, set(), 0
+    clauses, names = clause_set.clauses, clause_set.names
+    # owner -> its one clause; an owner's negative literal is no key
+    owned = {-clauses[ci][0]: clauses[ci] for ci in core}
+    if len(owned) < len(core) or root not in owned:
+        return False
+    # a popped -v leaves v's path; the names on the current path are `path`
+    stack, seen, path = [root], {root}, set()
     while stack:
         v = stack.pop()
         if v < 0:
-            path.discard(package_of(-v).name)
+            path.discard(names[-v])
             continue
-        reached += 1
-        path.add(package_of(v).name)
+        path.add(names[v])
         stack.append(-v)
-        for m in owned.get(v, ()):
-            if m in owned and m not in seen and package_of(m).name not in path:
+        for m in owned[v]:
+            if m in owned and m not in seen and names[m] not in path:
                 seen.add(m)
                 stack.append(m)
-    return reached == len(owned) and root in owned
+    return len(seen) == len(owned)
 
 
 def _shrink_local(
@@ -780,11 +811,11 @@ class RepositoryChecker:
         if not pids:
             raise ValueError("query set must be non-empty")
         index = self.clause_set.index
-        missing = [p for p in pids if p not in index]
-        if missing:
-            raise ValueError(f"package not in repository: {min(missing, key=package_sort_key)}")
-
-        assumptions = sorted({index[p] for p in pids})
+        try:
+            assumptions = sorted({index[p] for p in pids})
+        except KeyError:
+            missing = min((p for p in pids if p not in index), key=package_sort_key)
+            raise ValueError(f"package not in repository: {missing}") from None
         sat, payload = self._engine.solve(assumptions, core=explain)
         if sat:
             witness = frozenset(self.clause_set.package_of(v) for v in payload)
@@ -903,26 +934,25 @@ class RepositoryChecker:
         """The explanation of an unsatisfiable core given as base clause
         ids, for the query on the ascending variables `assumptions`: shrunk
         by `_shrink_edges`, then turned into edges in clause order
-        (dependency clauses first)."""
+        (dependency clauses first), and into chains by `_render_chains`
+        from the kept dependency clauses grouped by owner."""
         clause_set = self.clause_set
-        clauses, origins, deps_end = clause_set.clauses, clause_set.origins, clause_set.ends[-1]
-        package_of = clause_set.package_of
+        clauses, origins, package_of = clause_set.clauses, clause_set.origins, clause_set.package_of
         kept = _shrink_edges(clause_set, assumptions, sorted(core), self._shrunk)
+        # cores hold base clauses only: dependency clauses, then conflict pairs
+        split = bisect_left(kept, clause_set.ends[-1])
 
         edges = self._edges
-        dep_edges: dict[int, DependencyEdge] = {}
-        conflicts: list[int] = []
-        for ci in kept:
-            if ci < deps_end:
-                edge = edges.get(ci)
-                if edge is None:
-                    edge = edges[ci] = DependencyEdge(package_of(-clauses[ci][0]), origins[ci])
-                dep_edges[ci] = edge
-            else:  # cores hold base clauses only, so this is a conflict pair
-                conflicts.append(ci)
-        queried = tuple(package_of(v) for v in assumptions)
-        chains = _render_chains(clause_set, assumptions, dep_edges, conflicts, self._lines)
-        return Explanation(queried, tuple(dep_edges.values()),
+        kept_of: dict[int, list[int]] = {}  # owner -> its kept dependency clause ids
+        for ci in kept[:split]:
+            owner = -clauses[ci][0]
+            if ci not in edges:
+                edges[ci] = DependencyEdge(package_of(owner), origins[ci])
+            kept_of.setdefault(owner, []).append(ci)
+        conflicts = kept[split:]
+        chains = _render_chains(clause_set, assumptions, kept_of, conflicts, edges, self._lines)
+        return Explanation(tuple(map(package_of, assumptions)),
+                           tuple(map(edges.__getitem__, kept[:split])),
                            tuple(origins[ci] for ci in conflicts), chains)
 
 

@@ -9,7 +9,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debcheck import cli, solver
@@ -228,21 +228,22 @@ class TestCheckCommand:
             assert out.splitlines()[-1].startswith("3000 packages, 0 not installable")
 
     def test_optimized_run_prints_the_same_report(self, sample_file):
-        """No verdict or explanation rests on an `assert`: `python -O`
-        prints the same report.  The 3000-package criterion-6 sample runs
-        conflict analysis 88 times."""
+        """No verdict, explanation or report byte rests on an `assert`:
+        `python -O` prints the same text and JSON reports.  The
+        3000-package criterion-6 sample runs conflict analysis 88 times."""
         path = sample_file(_synthetic_distribution(count=3000))
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        outputs = []
-        for flags in ([], ["-O"]):
-            done = subprocess.run(
-                [sys.executable, *flags, "-m", "debcheck.cli", "--explain", path],
-                capture_output=True, env=env, check=False, timeout=20,
-            )
-            assert done.returncode == 1, done.stderr
-            outputs.append(done.stdout)
-        assert outputs[0] == outputs[1]
-        assert b"NOT INSTALLABLE" in outputs[0]
+        for report, marker in (([], b"NOT INSTALLABLE"), (["--format=json"], b'"explanation"')):
+            outputs = []
+            for flags in ([], ["-O"]):
+                done = subprocess.run(
+                    [sys.executable, *flags, "-m", "debcheck.cli", "--explain", *report, path],
+                    capture_output=True, env=env, check=False, timeout=20,
+                )
+                assert done.returncode == 1, done.stderr
+                outputs.append(done.stdout)
+            assert outputs[0] == outputs[1]
+            assert marker in outputs[0]
 
     def test_traced_run_finds_every_wrapped_name(self, sample_file, capsys, tmp_path):
         """`bench/tracer.py` wraps program functions by name, so deleting or
@@ -476,6 +477,29 @@ class TestAggregateCommand:
         assert "cannot read report" in err
 
 
+# report strings: any text, weighted toward what JSON must escape
+_REPORT_TEXT = st.text(
+    st.sampled_from('a1 ."\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600') | st.characters(), max_size=8)
+_CHECK_ENTRIES = st.builds(
+    lambda package, version, installable, explanation: {
+        "package": package, "version": version, "installable": installable,
+        **({} if explanation is None else {"explanation": explanation}),
+    },
+    _REPORT_TEXT, _REPORT_TEXT, st.booleans(), st.none() | st.lists(_REPORT_TEXT, max_size=3),
+)
+# the check command's JSON reports, their keys in the order it writes them
+_CHECK_REPORTS = st.builds(
+    lambda *values: dict(zip(("architecture", "total_packages", "non_installable",
+                              "fraction", "weather", "results"), values)),
+    st.none() | _REPORT_TEXT,
+    st.integers(min_value=0),
+    st.integers(min_value=0),
+    st.sampled_from([1e-06, 0.0, 1.0, 0.954971]) | st.floats(0.0, 1.0),
+    st.sampled_from(["clear", "storm"]) | _REPORT_TEXT,
+    st.lists(_CHECK_ENTRIES, max_size=4),
+)
+
+
 class _CountingStream(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -508,6 +532,15 @@ class TestReportOutput:
             report = out.getvalue()
             assert hashlib.sha256(report.encode()).hexdigest()[:16] == digest
             assert out.writes <= len(report) // cli._WRITE_BATCH + 1, (argv[0], out.writes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=_CHECK_REPORTS)
+    @example(document={"architecture": None, "total_packages": 0, "non_installable": 0,
+                       "fraction": 0.0, "weather": "clear", "results": []})
+    def test_check_report_is_json_with_indent(self, document):
+        """The check command's JSON writer prints what `json` prints with
+        `indent=2`, on any report of its schema."""
+        assert "".join(cli._check_json(document)) == json.dumps(document, indent=2) + "\n"
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_closed_pipe_exits_two(self, sample_file, tmp_path, unbuffered):

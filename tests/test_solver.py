@@ -444,19 +444,66 @@ def sample_3000():
     return repo_from(_synthetic_distribution(count=3000))
 
 
+def transition_family() -> Repository:
+    """A library transition in miniature: `libold` has left the archive,
+    and 65 of the 70 packages still need it.  Version 1 of each
+    application needs either of two `mid` packages that need the same
+    `base`, so its core is a diamond.  `tool (= 2)` reaches `libold` only
+    through `conv`, which needs `tool (= 1)`, so every path to it repeats
+    the name `tool`."""
+    blocks = ["Package: libnew\nVersion: 2"]
+    for k in range(4):
+        blocks.append(f"Package: base{k}\nVersion: 1\nDepends: libold")
+        blocks.append(f"Package: base{k}\nVersion: 2\nDepends: libold (>= 2) | libnew (<< 2)")
+    for k in range(6):
+        blocks.append(f"Package: mid{k}\nVersion: 1\nDepends: base{k % 4} (>= 1)")
+    blocks += ["Package: tool\nVersion: 1\nDepends: libold",
+               "Package: tool\nVersion: 2\nDepends: conv",
+               "Package: conv\nVersion: 1\nDepends: tool (<< 2)"]
+    for i in range(24):
+        blocks.append(f"Package: app{i}\nVersion: 1\nDepends: mid{i % 6} | mid{(i + 4) % 6}")
+        second = "tool (>= 2)" if i % 3 == 0 else f"mid{(i + 1) % 6}, libnew"
+        blocks.append(f"Package: app{i}\nVersion: 2\nDepends: {second}")
+    blocks += [f"Package: fine{i}\nVersion: 1\nDepends: libnew | libold" for i in range(4)]
+    return repo_from("\n\n".join(blocks) + "\n")
+
+
 @pytest.mark.slow
 class TestPureQueries:
     def test_explanations_depend_only_on_the_query(self, sample_3000):
-        repo = sample_3000
-        combined = check_all(repo)
-        broken = [p for p, result in combined.items() if not result.installable]
-        assert len(broken) == 95
-        shared = solver.RepositoryChecker(repo)
-        backwards = {p: shared.query([p]) for p in reversed(broken)}
-        for target in broken:
-            lines = combined[target].explanation.render_lines()
-            assert backwards[target].explanation.render_lines() == lines
-            assert check_installable(repo, target).explanation.render_lines() == lines
+        """`check_all`, a shared checker queried backwards, and fresh
+        checkers explain every broken package alike, on the 3000-package
+        sample and on `transition_family`.  The family's cores include
+        diamonds, and cores of one dependency clause per package that
+        `_minimal_by_paths` declines because each path repeats a name."""
+        family = transition_family()
+        checker = solver.RepositoryChecker(family)
+        clause_set = checker.clause_set
+        diamonds = declined = 0
+        for target in family.packages:
+            query = [clause_set.var_of(target)]
+            sat, core = checker._engine.solve(query, core=True)
+            if sat:
+                continue
+            core = sorted(core)
+            members = [m for ci in core for m in clause_set.clauses[ci][1:]]
+            diamonds += len(set(members)) < len(members)
+            if not solver._minimal_by_paths(clause_set, query, core):
+                declined += 1
+                assert core[-1] < clause_set.ends[-1]
+                assert len({clause_set.clauses[ci][0] for ci in core}) == len(core)
+        assert diamonds >= 8 and declined >= 9, (diamonds, declined)
+
+        for repo, count in ((sample_3000, 95), (family, 65)):
+            combined = check_all(repo)
+            broken = [p for p, result in combined.items() if not result.installable]
+            assert len(broken) == count
+            shared = solver.RepositoryChecker(repo)
+            backwards = {p: shared.query([p]) for p in reversed(broken)}
+            for target in broken:
+                lines = combined[target].explanation.render_lines()
+                assert backwards[target].explanation.render_lines() == lines
+                assert check_installable(repo, target).explanation.render_lines() == lines
 
     def test_every_solve_returns_to_the_base_state(self, sample_3000, monkeypatch):
         checker = solver.RepositoryChecker(sample_3000)
