@@ -1,9 +1,13 @@
+import hashlib
 import io
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from debcheck.cli import main
 from debcheck.stanza import (
     Alternative,
     ConstrainedRef,
@@ -282,3 +286,144 @@ class TestParsePackages:
         result = parse_packages("\n".join(blocks))
         assert len(result.stanzas) == 4
         assert len(result.errors) == 1
+
+
+# -- golden of the parser on messy input ------------------------------------
+
+# Relation field values: well-formed ones, qualifiers, the legacy `<` and
+# `>`, a comma inside parentheses, and each kind of syntax error.
+_MESSY_RELATIONS = [
+    "b", "c", "e", "b (>= 1)", "b (= 2) | c", "c | d (<< 3)", "b:any", "b:native (= 1)",
+    "b:amd64", "c (< 2)", "c (> 1)", "b, c (>= 2) | d, b", "  b ,c|d(>=1)  ", "f (= 1.0-1)",
+    "d|e", "",
+]
+_MALFORMED_RELATIONS = [
+    "b (>= 1, 2)", "a,,b", "b |", "(>= 1)", "b (?? 1)", "b (>= 1", "b >= 1)", "b (>= )",
+    "b | | c", "b c", "b (= 1) (= 2)",
+]
+_MESSY_NAMES = ["a", "b", "c", "d", "e", "f"] * 4 + ["a:any", "a b", ""]
+_MESSY_VERSIONS = ["1", "2", "1.0-1"] * 3 + [""]
+_MESSY_FIELDS = [
+    "Depends", "Pre-Depends", "Conflicts", "Provides", "Replaces", "Architecture",
+    "Suggests", "Description", "Section",
+]
+
+
+def messy_packages(rng: random.Random) -> str:
+    """A seeded `Packages` text with odd line endings, separators,
+    continuation and junk lines, duplicate fields and stanzas, and relation
+    fields both valid and malformed.  No byte-order mark."""
+
+    def ending():
+        return rng.choice(["\n"] * 24 + ["\r\n"] * 6 + ["\r\r\n", "\rx\n"])
+
+    def relation():
+        return ", ".join(
+            rng.choice(_MALFORMED_RELATIONS if rng.random() < 0.1 else _MESSY_RELATIONS)
+            for _ in range(rng.randint(1, 3))
+        )
+
+    def field_name(name):
+        return rng.choice([name, name, name.lower(), name.upper()])
+
+    stanzas = []
+    for _ in range(rng.randint(1, 7)):
+        lines = []
+        if rng.random() < 0.95:
+            lines.append(f"Package: {rng.choice(_MESSY_NAMES)}")
+        if rng.random() < 0.95:
+            lines.append(f"{field_name('Version')}:{rng.choice(['', ' ', '  '])}"
+                         f"{rng.choice(_MESSY_VERSIONS)}")
+        for name in rng.sample(_MESSY_FIELDS, rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.75:
+                lines.append(f"{field_name(name)}: {relation()}")
+            elif kind < 0.88:
+                lines.append(rng.choice([" ", "\t", "  "]) + relation())
+            elif kind < 0.92:
+                lines.append(rng.choice(["stray words", ": stray", ":", "Depends b"]))
+            elif kind < 0.97:
+                # a duplicate of a relevant or an irrelevant field
+                lines.extend([f"{rng.choice(['Depends', 'Provides', 'Section', 'Suggests'])}: b"] * 2)
+            else:
+                lines.append(f"Version: {rng.choice(_MESSY_VERSIONS)}")
+        if rng.random() < 0.3:
+            rng.shuffle(lines)
+        stanzas.append("".join(line + ending() for line in lines))
+    separators = ["\n"] * 4 + ["   \n", "\t\n", "\x0c\n", "\r\n", "\n\n", ""]
+    text = stanzas[0]
+    for stanza in stanzas[1:]:
+        text += rng.choice(separators) + stanza
+    if rng.random() < 0.3:
+        text = text.rstrip("\n")
+    return text
+
+
+# Inputs that a random text may miss: each names what it covers.
+_PARSER_SAMPLES = {
+    "colon-value-line": "Package: a\nVersion: 1\n: stray\n",
+    "continuation-after-colon-value": "Package: a\nVersion: 1\n: stray\n more\n",
+    "continuation-after-junk": "Package: a\nVersion: 1\nstray\n more\n\nPackage: b\nVersion: 1\n",
+    "continuation-first": " lead\nPackage: a\nVersion: 1\nDepends: b,\n c\n\tdrop\n",
+    "crlf-no-final-newline": "Package: a\r\nVersion: 1\r\nDepends: b (>= 1, 2)\r\n\r\nPackage: b\r\nVersion: 1",
+    "lone-cr": "Package: a\rVersion: 1\nPackage: b\nVersion: 1\r\n",
+    "formfeed-separator": "Package: a\nVersion: 1\n\x0c\nPackage: b\nVersion: 1\n \t \nPackage: c\nVersion: 1\n",
+    "duplicate-fields": "Package: a\nVersion: 1\nSection: x\nSection: y\n\nPackage: b\nVersion: 1\nProvides: v\nprovides: w\n",
+    "qualifiers": "Package: a\nVersion: 1\nDepends: b:any, c:native (>= 1), d:amd64, e (< 2) | f (> 1)\n",
+    "versioned-provides": "Package: a\nVersion: 1\nProvides: v (= 1), w\nReplaces: b (<< 2)\n",
+    "duplicate-stanza": "Package: a\nVersion: 1\nDepends: b\n\nPackage: b\nVersion: 1\n\nPackage: a\nVersion: 1\n",
+}
+
+
+def parser_inputs() -> dict[str, str]:
+    """The parser golden's texts: 200 seeded messy ones and the samples."""
+    inputs = {f"messy-{seed}": messy_packages(random.Random(seed)) for seed in range(200)}
+    inputs.update(_PARSER_SAMPLES)
+    return inputs
+
+
+def parser_digests(text: str) -> dict[str, str]:
+    """Digests of what `parse_packages` returns for `text` given as a
+    string, as UTF-8 bytes and as a list of lines."""
+    forms = {"str": text, "bytes": text.encode(), "lines": text.splitlines(keepends=True)}
+    digests = {}
+    for form, source in forms.items():
+        result = parse_packages(source)
+        view = (repr(result.stanzas), repr(result.errors), repr(result.warnings))
+        digests[form] = hashlib.sha256(repr(view).encode()).hexdigest()[:16]
+    return digests
+
+
+_PARSER_DIGESTS = Path(__file__).with_name("parser_digests.txt")
+
+
+def recorded_parser_digests() -> str:
+    return "".join(
+        f"{key}-{form} {digest}\n"
+        for key, text in parser_inputs().items()
+        for form, digest in parser_digests(text).items()
+    )
+
+
+def test_parser_matches_recorded_digests():
+    """Stanzas, errors and warnings of every golden text are exactly as
+    recorded (`python tests/test_stanza.py` rewrites them)."""
+    recorded = dict(line.split() for line in _PARSER_DIGESTS.read_text().splitlines())
+    got = dict(line.split() for line in recorded_parser_digests().splitlines())
+    assert got.keys() == recorded.keys()
+    drifted = [key for key in got if got[key] != recorded[key]]
+    assert not drifted, f"{len(drifted)} inputs drifted, first {drifted[:5]}"
+
+
+def test_cli_reads_every_golden_text_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "Packages"
+    for key, text in parser_inputs().items():
+        path.write_bytes(text.encode())
+        code = main([str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), key
+        assert "Traceback" not in err, key
+
+
+if __name__ == "__main__":
+    _PARSER_DIGESTS.write_text(recorded_parser_digests())
