@@ -13,9 +13,10 @@ Progress and diagnostics go to standard error; the report itself is
 deterministic for a given input, and goes to standard output in a few
 large writes.  JSON reports read as `json.dump(document, indent=2)`
 writes them.  The check command's report, which can hold a line per
-explanation step for most of an archive, comes from a writer made for
-its schema (`_check_json`): before 3.13, `json` encodes token by token
-in pure Python whenever `indent` is set.  Any command exits 2, silently,
+explanation step for most of an archive, and the conflicts command's,
+which can hold thousands of pairs, come from writers made for their
+schemas (`_check_json`, `_conflicts_json`): before 3.13, `json` encodes
+token by token in pure Python whenever `indent` is set.  Any command exits 2, silently,
 when its reader closes standard output before the report is written (as
 `| head` does).
 """
@@ -75,6 +76,15 @@ def _json_pieces(document: object) -> Iterator[str]:
     yield "\n"
 
 
+def _json_strings(strings: list[str], indent: str) -> str:
+    """A list of strings as `json.dumps(indent=2)` lays it out at `indent`."""
+    if not strings:
+        return "[]"
+    inner = indent + "  "
+    return ("[\n" + inner + (",\n" + inner).join(map(encode_basestring_ascii, strings))
+            + "\n" + indent + "]")
+
+
 def _check_json(document: dict) -> Iterator[str]:
     """A check report as `_json_pieces` writes it, one piece per result.
 
@@ -95,14 +105,36 @@ def _check_json(document: dict) -> Iterator[str]:
                 f'\n      "version": {encode_basestring_ascii(entry["version"])},'
                 f'\n      "installable": {"true" if entry["installable"] else "false"}')
         lines = entry.get("explanation")
-        if lines:
-            text += (',\n      "explanation": [\n        '
-                     + ",\n        ".join(map(encode_basestring_ascii, lines)) + "\n      ]")
-        elif lines is not None:
-            text += ',\n      "explanation": []'
+        if lines is not None:
+            text += ',\n      "explanation": ' + _json_strings(lines, "      ")
         yield text + "\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n" if results else "\n}\n"
+
+
+def _conflicts_json(document: dict[str, list[dict]]) -> Iterator[str]:
+    """A conflicts report as `_json_pieces` writes it, one piece per pair.
+
+    The report's schema: `pairs` and `undetermined`, each a list of
+    objects whose members are strings or lists of strings, written as
+    `_check_json` writes its strings.
+    """
+    separator = "{\n"
+    for key, entries in document.items():
+        yield f"{separator}  {encode_basestring_ascii(key)}: " + ("[" if entries else "[]")
+        comma = "\n"
+        for entry in entries:
+            yield comma + "    {" + ",".join(
+                f"\n      {encode_basestring_ascii(name)}: "
+                + (encode_basestring_ascii(value) if isinstance(value, str)
+                   else _json_strings(value, "      "))
+                for name, value in entry.items()
+            ) + "\n    }"
+            comma = ",\n"
+        if entries:
+            yield "\n  ]"
+        separator = ",\n"
+    yield "\n}\n"
 
 
 @dataclass
@@ -328,7 +360,7 @@ def run_conflicts(argv: list[str], out: IO, err: IO) -> int:
                 for pair, message in outcome.undetermined
             ],
         }
-        _write_report(out, _json_pieces(document))
+        _write_report(out, _conflicts_json(document))
     else:
         _write_report(out, _conflicts_text(outcome.classified))
     return 0

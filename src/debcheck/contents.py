@@ -72,8 +72,7 @@ def parse_contents(source: str | bytes | IO | Iterable[str]) -> ContentsParseRes
 
     entries: dict[str, set[str]] = {}
     warnings: list[str] = []
-    for number, raw in enumerate(lines[start:], start=start + 1):
-        line = raw.rstrip("\n")
+    for number, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
         parts = line.rsplit(None, 1)

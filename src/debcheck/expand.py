@@ -145,9 +145,9 @@ def _available_versions(stanzas: Iterable[PackageStanza]) -> dict[str, list[str]
     """Real versions per name, deduplicated, newest first."""
     versions: dict[str, list[str]] = {}
     for s in stanzas:
-        versions.setdefault(s.name, [])
-        if s.version not in versions[s.name]:
-            versions[s.name].append(s.version)
+        known = versions.setdefault(s.name, [])
+        if s.version not in known:
+            known.append(s.version)
     for name in versions:
         versions[name].sort(key=version_sort_key, reverse=True)
     return versions
@@ -280,7 +280,8 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
             providers.setdefault(name, []).append((s.name, s.version))
 
     real_ids = {(s.name, s.version) for s in stanzas}
-    available = _available_versions(stanzas)
+    # only the versions of provided names are read below
+    available = _available_versions(s for s in stanzas if s.name in providers)
 
     synthetic_version: dict[str, str] = {}
     for name in providers:

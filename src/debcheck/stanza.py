@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
@@ -114,16 +113,20 @@ class ParseResult:
 # with the whitespace after it; the version runs to ")" or the end.
 _NAME = re.compile(r"\s*([^\s,|()]*)\s*")
 _CONSTRAINT = re.compile(r"\(\s*([<>=]*)\s*([^)]*)(\)?)\s*")
+# a character that no package name in a relation field can hold
+_NOT_IN_NAME = re.compile(r"[\s,:|()]")
 
 
 class _RelationReader:
     """Reads relation fields.  Equal references, and alternatives of the
     same references, come back as one shared object each, so the reader
-    of one `parse_packages` call stores each of them once."""
+    of one `parse_packages` call stores each of them once.  It reads each
+    distinct conjunct text (what lies between two commas) once."""
 
     def __init__(self) -> None:
         self._refs: dict[tuple[str, str | None, str | None], ConstrainedRef] = {}
         self._alternatives: dict[tuple[int, ...], Alternative] = {}
+        self._conjuncts: dict[str, Alternative] = {}
 
     def _ref(self, name: str, relation: str | None, version: str | None) -> ConstrainedRef:
         key = (name, relation, version)
@@ -139,7 +142,30 @@ class _RelationReader:
             alt = self._alternatives[key] = Alternative(tuple(refs))
         return alt
 
-    def relations(self, text: str) -> tuple[tuple[Alternative, ...], int | None]:
+    def relations(self, text: str) -> tuple[Alternative, ...]:
+        """Parse a relation field: comma-separated pipe-disjunctions.
+
+        A conjunct text that `_read` takes alone as one alternative reads
+        the same inside the field, since it holds no comma.  Any other
+        conjunct (empty, malformed, or inside parentheses that a later
+        comma closes) sends the whole field through `_read`, which gives
+        its alternatives or its first error and offset."""
+        known = self._conjuncts
+        conjuncts = []
+        for part in text.split(","):
+            alt = known.get(part)
+            if alt is None:
+                try:
+                    alone = self._read(part)[0]
+                except DependencyParseError:
+                    alone = ()
+                if len(alone) != 1:
+                    return self._read(text)[0]
+                alt = known[part] = alone[0]
+            conjuncts.append(alt)
+        return tuple(conjuncts)
+
+    def _read(self, text: str) -> tuple[tuple[Alternative, ...], int | None]:
         """Parse a relation field; returns its alternatives and the offset
         of its first '|' (None without one)."""
         conjuncts: list[Alternative] = []
@@ -189,15 +215,16 @@ class _RelationReader:
 
     def ref_list(self, text: str) -> tuple[ConstrainedRef, ...]:
         """Parse a Conflicts-style field: comma-separated refs, no disjunction."""
-        conjuncts, bar = self.relations(text)
-        if bar is not None:
-            raise DependencyParseError("'|' is not allowed in this field", bar)
+        conjuncts = self.relations(text)
+        # an alternative has two refs or more exactly where a '|' joins them
+        if any(len(alt.refs) > 1 for alt in conjuncts):
+            raise DependencyParseError("'|' is not allowed in this field", self._read(text)[1])
         return tuple(alt.refs[0] for alt in conjuncts)
 
 
 def parse_dependency_field(text: str) -> DependencyExpression:
     """Parse a Depends-style field: comma-separated pipe-disjunctions."""
-    return DependencyExpression(_RelationReader().relations(text)[0])
+    return DependencyExpression(_RelationReader().relations(text))
 
 
 def parse_ref_list(text: str) -> tuple[ConstrainedRef, ...]:
@@ -206,47 +233,76 @@ def parse_ref_list(text: str) -> tuple[ConstrainedRef, ...]:
 
 
 def iter_text_lines(source: str | bytes | IO | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, str):
-        yield from io.StringIO(source)
-        return
-    if isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8", errors="replace"))
-        return
-    for line in source:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8", errors="replace")
-        yield line
+    """The lines of `source` without their line feeds, and without one
+    byte-order mark at the very start.
 
-
-def _split_stanzas(lines: Iterator[str]) -> Iterator[tuple[int, list[tuple[str, str]]]]:
-    """Yield (first_line_number, [(field, value), ...]) per stanza.
-
-    Continuation lines (leading whitespace) extend the previous value.
+    `bytes` decode as UTF-8, bad bytes replaced.  A string splits at "\\n"
+    only, into the lines that `io.StringIO` gives.  The lines of any other
+    iterable lose their trailing "\\n"s.
     """
-    fields: list[tuple[str, str]] = []
-    start = 0
-    for number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+    if isinstance(source, bytes):
+        source = source.decode("utf-8", errors="replace")
+    if isinstance(source, str):
+        lines = source.split("\n")
+    else:
+        lines = [
+            (line.decode("utf-8", errors="replace") if isinstance(line, bytes) else line)
+            .rstrip("\n")
+            for line in source
+        ]
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
+    return iter(lines)
+
+
+#: Fields a stanza may hold once; any other may repeat, and the last wins.
+_SINGLE_FIELDS = frozenset(("package", "version", *_DEP_FIELDS, "conflicts", "provides", "replaces"))
+
+
+def _stanza_fields(lines: Iterator[str]) -> Iterator[tuple[int, dict[str, str], str | None]]:
+    """Yield (first line number, fields, error) per stanza.
+
+    `fields` maps lower-cased field names to stripped values.  A
+    continuation line (leading whitespace) extends the value of the line
+    before it.  `error` is None, or tells the first line that makes the
+    stanza unusable: a repeat of a field of `_SINGLE_FIELDS` or, as "", a
+    line without a field name, whose text (with its continuation lines)
+    is then `fields[""]`.
+    """
+    fields: dict[str, str] = {}
+    start = 0  # 0 between stanzas
+    error = last = None  # `last`: the field that a continuation line extends
+    for number, line in enumerate(lines, start=1):
+        line = line.rstrip("\r")
         if not line.strip():
-            if fields:
-                yield start, fields
-                fields = []
+            if start:
+                yield start, fields, error
+                fields = {}
+                start = 0
+                error = last = None
             continue
         if line[0] in " \t":
-            if fields:
-                name, value = fields[-1]
-                fields[-1] = (name, value + " " + line.strip())
+            if last is not None:
+                fields[last] += " " + line.strip()
             continue
-        if not fields:
+        if not start:
             start = number
-        name, sep, value = line.partition(":")
-        if not sep:
-            # Junk line; attach to the stanza so the error is reported once.
-            fields.append(("", line))
+        if error is not None:
+            last = None
             continue
-        fields.append((name.strip().lower(), value.strip()))
-    if fields:
-        yield start, fields
+        name, sep, value = line.partition(":")
+        name = name.strip().lower()
+        if not (sep and name):
+            fields[""] = value.strip() if sep else line
+            error = last = ""
+        elif name in fields and name in _SINGLE_FIELDS:
+            error = f"duplicate field {name!r}"
+            last = None
+        else:
+            fields[name] = value.strip()
+            last = name
+    if start:
+        yield start, fields, error
 
 
 def _strip_constraints(
@@ -265,46 +321,37 @@ def _strip_constraints(
 
 
 def _build_stanza(
-    fields: list[tuple[str, str]], warnings: list[str], reader: _RelationReader
+    fields: dict[str, str], error: str | None, warnings: list[str], reader: _RelationReader
 ) -> PackageStanza:
-    seen: dict[str, str] = {}
-    for name, value in fields:
-        if not name:
-            raise StanzaParseAbort(f"line without a field separator: {value!r}")
-        if name in seen and name in ("package", "version") + _DEP_FIELDS + (
-            "conflicts", "provides", "replaces",
-        ):
-            raise StanzaParseAbort(f"duplicate field {name!r}")
-        seen[name] = value
-
-    package = seen.get("package")
-    version = seen.get("version")
+    if error is not None:
+        raise StanzaParseAbort(error or f"line without a field separator: {fields['']!r}")
+    package = fields.get("package")
+    version = fields.get("version")
     if not package:
         raise StanzaParseAbort("missing Package field")
     if not version:
         raise StanzaParseAbort("missing Version field")
-    # a name that no relation field could spell
-    if any(c.isspace() or c in ",:|()" for c in package):
+    if _NOT_IN_NAME.search(package):
         raise StanzaParseAbort(f"invalid package name {package!r}")
     context = f"{package} {version}"
 
     conjuncts: list[Alternative] = []
     for dep_field in _DEP_FIELDS:
-        if dep_field in seen:
+        if dep_field in fields:
             try:
-                conjuncts.extend(reader.relations(seen[dep_field])[0])
+                conjuncts.extend(reader.relations(fields[dep_field]))
             except DependencyParseError as exc:
                 raise StanzaParseAbort(f"bad {dep_field} field: {exc}") from exc
     try:
-        conflicts = reader.ref_list(seen["conflicts"]) if "conflicts" in seen else ()
+        conflicts = reader.ref_list(fields["conflicts"]) if "conflicts" in fields else ()
         provides = (
-            _strip_constraints(reader, "Provides", seen["provides"], warnings, context)
-            if "provides" in seen
+            _strip_constraints(reader, "Provides", fields["provides"], warnings, context)
+            if "provides" in fields
             else ()
         )
         replaces = (
-            _strip_constraints(reader, "Replaces", seen["replaces"], warnings, context)
-            if "replaces" in seen
+            _strip_constraints(reader, "Replaces", fields["replaces"], warnings, context)
+            if "replaces" in fields
             else ()
         )
     except DependencyParseError as exc:
@@ -317,7 +364,7 @@ def _build_stanza(
         conflicts=conflicts,
         provides=provides,
         replaces=replaces,
-        architecture=seen.get("architecture"),
+        architecture=fields.get("architecture"),
     )
 
 
@@ -337,9 +384,9 @@ def parse_packages(source: str | bytes | IO | Iterable[str]) -> ParseResult:
     warnings: list[str] = []
     reader = _RelationReader()
 
-    for start, fields in _split_stanzas(iter_text_lines(source)):
+    for start, fields, error in _stanza_fields(iter_text_lines(source)):
         try:
-            stanza = _build_stanza(fields, warnings, reader)
+            stanza = _build_stanza(fields, error, warnings, reader)
         except StanzaParseAbort as exc:
             errors.append(StanzaError(start, str(exc)))
             continue

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from debcheck import cli, solver
 from debcheck.cli import main
+from debcheck.contents import CandidateStatus
 from debcheck.expand import build_repository, expand
 from debcheck.solver import RepositoryChecker
 from debcheck.stanza import parse_packages
@@ -499,6 +500,18 @@ _CHECK_REPORTS = st.builds(
     st.lists(_CHECK_ENTRIES, max_size=4),
 )
 
+_CONFLICTS_REPORTS = st.fixed_dictionaries({
+    "pairs": st.lists(st.fixed_dictionaries({
+        "pair": st.lists(_REPORT_TEXT, min_size=2, max_size=2),
+        "status": st.sampled_from([s.value for s in CandidateStatus]) | _REPORT_TEXT,
+        "shared_paths": st.lists(_REPORT_TEXT, max_size=3),
+    }), max_size=4),
+    "undetermined": st.lists(st.fixed_dictionaries({
+        "pair": st.lists(_REPORT_TEXT, min_size=2, max_size=2),
+        "reason": _REPORT_TEXT,
+    }), max_size=3),
+})
+
 
 class _CountingStream(io.StringIO):
     def __init__(self):
@@ -541,6 +554,33 @@ class TestReportOutput:
         """The check command's JSON writer prints what `json` prints with
         `indent=2`, on any report of its schema."""
         assert "".join(cli._check_json(document)) == json.dumps(document, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=_CONFLICTS_REPORTS)
+    @example(document={"pairs": [], "undetermined": []})
+    @example(document={"pairs": [{"pair": ["a", "b"], "status": "candidate",
+                                  "shared_paths": ["usr/share/caf\xe9", 'x"\\\u2028\U0001f600']}],
+                       "undetermined": []})
+    @example(document={"pairs": [], "undetermined": [{"pair": ["a", "\xe9"], "reason": "\n"}]})
+    def test_conflicts_report_is_json_with_indent(self, document):
+        """The conflicts command's JSON writer prints what `json` prints
+        with `indent=2`, on any report of its schema."""
+        assert "".join(cli._conflicts_json(document)) == json.dumps(document, indent=2) + "\n"
+
+    def test_conflicts_report_with_escaped_paths(self, sample_file, capsys):
+        """Paths and names that `json` escapes reach the report as `json`
+        writes them, and so does an empty `undetermined` list."""
+        packages = sample_file(FIXTURE_PACKAGES, "Packages")
+        paths = ["usr/share/caf\xe9", 'usr/q"uote\\back', "usr/\u2028sep", "usr/\U0001f600"]
+        contents = sample_file(
+            "".join(f"{path}  main/eta,main/theta\n" for path in paths), "Contents")
+        code, out, _ = run(
+            ["conflicts", "--contents", contents, "--packages", packages, "--format=json"], capsys)
+        assert code == 0
+        document = json.loads(out)
+        assert document["undetermined"] == []
+        assert document["pairs"][0]["shared_paths"] == sorted(paths)
+        assert out == json.dumps(document, indent=2) + "\n"
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_closed_pipe_exits_two(self, sample_file, tmp_path, unbuffered):

@@ -46,6 +46,13 @@ class TestParseContents:
         )
         assert result.index.entries == {"usr/bin/tool": frozenset({"tool"})}
 
+    def test_byte_order_mark_before_header(self):
+        text = "\ufeffFILE                            LOCATION\nusr/bin/tool  utils/tool\n"
+        for source in (text, text.encode(), text.splitlines(keepends=True)):
+            result = parse_contents(source)
+            assert result.index.entries == {"usr/bin/tool": frozenset({"tool"})}
+            assert not result.warnings
+
     def test_line_without_separator_is_skipped_with_warning(self):
         result = parse_contents("justonefield\nusr/bin/y  ,\nusr/bin/x  base/x\n")
         assert result.index.entries == {"usr/bin/x": frozenset({"x"})}

@@ -252,6 +252,25 @@ class TestParsePackages:
         (stanza,) = result.stanzas
         assert stanza.name == "a"
 
+    @pytest.mark.parametrize("form", ["str", "bytes", "lines", "byte lines"])
+    def test_byte_order_mark_is_dropped(self, form):
+        """One leading byte-order mark is not part of the first field name."""
+        text = "\ufeffPackage: a\nVersion: 1\n\nPackage: b\nVersion: 1\nDepends: a\n"
+        source = {
+            "str": text,
+            "bytes": text.encode(),
+            "lines": text.splitlines(keepends=True),
+            "byte lines": io.BytesIO(text.encode()),
+        }[form]
+        result = parse_packages(source)
+        assert not result.errors
+        assert [s.name for s in result.stanzas] == ["a", "b"]
+
+    def test_only_a_leading_byte_order_mark_is_dropped(self):
+        result = parse_packages("Package: a\nVersion: 1\n\n\ufeffPackage: b\nVersion: 1\n")
+        assert [s.name for s in result.stanzas] == ["a"]
+        assert [str(e) for e in result.errors] == ["line 4: missing Package field"]
+
     def test_file_object_input(self):
         result = parse_packages(io.StringIO("Package: a\nVersion: 1\n"))
         assert len(result.stanzas) == 1
@@ -413,6 +432,16 @@ def test_parser_matches_recorded_digests():
     assert got.keys() == recorded.keys()
     drifted = [key for key in got if got[key] != recorded[key]]
     assert not drifted, f"{len(drifted)} inputs drifted, first {drifted[:5]}"
+
+
+def test_cli_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "Packages"
+    path.write_bytes(b"\xef\xbb\xbfPackage: a\nVersion: 1\n\nPackage: b\nVersion: 1\nDepends: a\n")
+    code = main([str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "skipped stanza" not in err
+    assert out == "2 packages, 0 not installable (clear)\n"
 
 
 def test_cli_reads_every_golden_text_without_a_traceback(tmp_path, capsys):
