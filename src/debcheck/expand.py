@@ -279,7 +279,6 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
         for name in s.provides:
             providers.setdefault(name, []).append((s.name, s.version))
 
-    real_ids = {(s.name, s.version) for s in stanzas}
     # only the versions of provided names are read below
     available = _available_versions(s for s in stanzas if s.name in providers)
 
@@ -287,7 +286,7 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
     for name in providers:
         version = VIRTUAL_VERSION
         bump = 0
-        while (name, version) in real_ids:
+        while version in available.get(name, ()):
             bump += 1
             version = f"{VIRTUAL_VERSION}{bump}"
         synthetic_version[name] = version
@@ -313,9 +312,9 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
     rewritten = _Pass(rewrite_dep)
     out = []
     for s in stanzas:
-        owner = (s.name, s.version)
         conflicts = s.conflicts
         if len(conflicts) > 1 or any(map(is_virtual_ref, conflicts)):
+            owner = (s.name, s.version)
             conflicts = tuple(dict.fromkeys(
                 r for ref in conflicts for r in rewrite_conflict(owner, ref)
             ))

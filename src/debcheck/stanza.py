@@ -255,25 +255,26 @@ def iter_text_lines(source: str | bytes | IO | Iterable[str]) -> Iterator[str]:
     return iter(lines)
 
 
-#: Fields a stanza may hold once; any other may repeat, and the last wins.
+#: Fields a stanza may hold once.  Parsing reads these and Architecture,
+#: of which the last one counts; it never reads any other field.
 _SINGLE_FIELDS = frozenset(("package", "version", *_DEP_FIELDS, "conflicts", "provides", "replaces"))
+_READ_FIELDS = _SINGLE_FIELDS | {"architecture"}
 
 
 def _stanza_fields(lines: Iterator[str]) -> Iterator[tuple[int, dict[str, str], str | None]]:
     """Yield (first line number, fields, error) per stanza.
 
-    `fields` maps lower-cased field names to stripped values.  A
-    continuation line (leading whitespace) extends the value of the line
-    before it.  `error` is None, or tells the first line that makes the
-    stanza unusable: a repeat of a field of `_SINGLE_FIELDS` or, as "", a
-    line without a field name, whose text (with its continuation lines)
-    is then `fields[""]`.
+    `fields` maps the lower-cased names of `_READ_FIELDS` to stripped
+    values.  A continuation line (leading whitespace) extends the value
+    of the line before it.  `error` is None, or tells the first line that
+    makes the stanza unusable: a repeat of a field of `_SINGLE_FIELDS` or,
+    as "", a line without a field name, whose text (with its continuation
+    lines) is then `fields[""]`.
     """
     fields: dict[str, str] = {}
     start = 0  # 0 between stanzas
     error = last = None  # `last`: the field that a continuation line extends
     for number, line in enumerate(lines, start=1):
-        line = line.rstrip("\r")
         if not line.strip():
             if start:
                 yield start, fields, error
@@ -293,8 +294,10 @@ def _stanza_fields(lines: Iterator[str]) -> Iterator[tuple[int, dict[str, str], 
         name, sep, value = line.partition(":")
         name = name.strip().lower()
         if not (sep and name):
-            fields[""] = value.strip() if sep else line
+            fields[""] = value.strip() if sep else line.rstrip("\r")
             error = last = ""
+        elif name not in _READ_FIELDS:
+            last = None
         elif name in fields and name in _SINGLE_FIELDS:
             error = f"duplicate field {name!r}"
             last = None
