@@ -16,9 +16,9 @@ writes them.  The check command's report, which can hold a line per
 explanation step for most of an archive, and the conflicts command's,
 which can hold thousands of pairs, come from writers made for their
 schemas (`_check_json`, `_conflicts_json`): before 3.13, `json` encodes
-token by token in pure Python whenever `indent` is set.  Any command exits 2, silently,
-when its reader closes standard output before the report is written (as
-`| head` does).
+token by token in pure Python whenever `indent` is set.  Any command
+exits 2, silently, when its reader closes standard output before the
+report is written (as `| head` does).
 """
 
 from __future__ import annotations

@@ -309,8 +309,10 @@ class TestParsePackages:
 
 # -- golden of the parser on messy input ------------------------------------
 
-# Relation field values: well-formed ones, qualifiers, the legacy `<` and
-# `>`, a comma inside parentheses, and each kind of syntax error.
+# Relation field values that parse conjunct by conjunct: plain ones,
+# qualifiers, the legacy `<` and `>`.  The rare ones: a comma inside
+# parentheses, which only the whole field parses (as part of a version),
+# and each kind of syntax error.
 _MESSY_RELATIONS = [
     "b", "c", "e", "b (>= 1)", "b (= 2) | c", "c | d (<< 3)", "b:any", "b:native (= 1)",
     "b:amd64", "c (< 2)", "c (> 1)", "b, c (>= 2) | d, b", "  b ,c|d(>=1)  ", "f (= 1.0-1)",
