@@ -22,7 +22,14 @@ from debcheck.expand import (
 )
 from debcheck.model import check_health
 from debcheck.solver import brute_force_check, encode
-from debcheck.stanza import ConstrainedRef, PackageStanza, parse_dependency_field, parse_packages
+from debcheck.stanza import (
+    Alternative,
+    ConstrainedRef,
+    DependencyExpression,
+    PackageStanza,
+    parse_dependency_field,
+    parse_packages,
+)
 
 from conftest import CHAIN_SAMPLE, CONSTRAINT_SAMPLE, VIRTUAL_SAMPLE, direct_installable
 
@@ -126,7 +133,9 @@ class TestVirtualExpansion:
 
     def test_no_provides_is_identity(self, constraint_sample):
         stanzas = expand_version_constraints(stanzas_of(constraint_sample))
-        assert expand_virtual_packages(stanzas) == stanzas
+        expanded = expand_virtual_packages(stanzas)
+        assert expanded == stanzas
+        assert all(out is s for out, s in zip(expanded, stanzas))
 
     def test_self_provider_gets_no_self_conflict(self):
         stanzas = stanzas_of(
@@ -341,30 +350,31 @@ def _render_origin(clause_set, clause, origin):
     return ("conflict", a.name, a.version, b.name, b.version)
 
 
+def _repository_view(repo):
+    """Package order, each clause's sorted members and label, sorted
+    conflicts and virtuals."""
+    return (
+        [(p.name, p.version) for p in repo.packages],
+        [
+            (
+                [(m.name, m.version) for m in sorted(clause.members, key=package_sort_key)],
+                clause.label,
+            )
+            for p in repo.packages
+            for clause in repo.deps[p]
+        ],
+        sorted((a.name, a.version, b.name, b.version) for a, b in repo.conflicts),
+        sorted((p.name, p.version) for p in repo.virtuals),
+    )
+
+
 def frontend_digest(stanzas: list[PackageStanza]) -> str:
     """One digest of everything the front end makes of `stanzas`.
 
     It covers both expansion passes (with their labels), the repository
-    built from them and from the raw stanzas (package order, each
-    clause's sorted members and label, sorted conflicts and virtuals),
-    and `encode`'s clauses and origins in order.
+    built from them and from the raw stanzas, and `encode`'s clauses and
+    origins in order.
     """
-
-    def repository_view(repo):
-        return (
-            [(p.name, p.version) for p in repo.packages],
-            [
-                (
-                    [(m.name, m.version) for m in sorted(clause.members, key=package_sort_key)],
-                    clause.label,
-                )
-                for p in repo.packages
-                for clause in repo.deps[p]
-            ],
-            sorted((a.name, a.version, b.name, b.version) for a, b in repo.conflicts),
-            sorted((p.name, p.version) for p in repo.virtuals),
-        )
-
     by_versions = expand_version_constraints(stanzas)
     expanded = expand_virtual_packages(by_versions)
     repo = build_repository(expanded)
@@ -372,11 +382,36 @@ def frontend_digest(stanzas: list[PackageStanza]) -> str:
     view = (
         repr(by_versions),
         repr(expanded),
-        repository_view(repo),
-        repository_view(build_repository(stanzas)),
+        _repository_view(repo),
+        _repository_view(build_repository(stanzas)),
         clause_set.clauses,
         [_render_origin(clause_set, c, o) for c, o in zip(clause_set.clauses, clause_set.origins)],
     )
+    return hashlib.sha256(repr(view).encode()).hexdigest()[:16]
+
+
+def _first_positions(objects) -> list[int]:
+    """Where each object first occurs in `objects`, by identity."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(o), i) for i, o in enumerate(objects)]
+
+
+def passes_digest(stanzas: list[PackageStanza]) -> str:
+    """One digest of each expansion pass run alone on `stanzas` as given:
+    its stanzas, the repository built from them, and which stanzas,
+    expressions and alternatives it hands back as the input's own
+    objects or shares between stanzas."""
+    view = []
+    inputs = [alt for s in stanzas for alt in s.depends.conjuncts]
+    for expansion in (expand_version_constraints, expand_virtual_packages):
+        out = expansion(stanzas)
+        view.append((
+            repr(out),
+            _repository_view(build_repository(out)),
+            [o is s for o, s in zip(out, stanzas)],
+            [o.depends is s.depends for o, s in zip(out, stanzas)],
+            _first_positions(inputs + [alt for s in out for alt in s.depends.conjuncts]),
+        ))
     return hashlib.sha256(repr(view).encode()).hexdigest()[:16]
 
 
@@ -403,14 +438,75 @@ Depends: q | v | q
 """
 
 
+def hand_built_inputs() -> dict[str, list[PackageStanza]]:
+    """Stanza lists built in code, in shapes that parsing never makes but
+    each pass must take as given: alternatives without an origin or with
+    a repeated reference, repeated conflicts, and bare provided names."""
+    a, b, v, w = map(ConstrainedRef, "abvw")
+    a1, a2, b1 = exact("a", "1"), exact("a", "2"), exact("b", "1")
+    repeat = Alternative((a, a), origin="a | a")
+    repeat_exact = Alternative((a1, b1, a1), origin="a (= 1) | b | a (= 1)")
+    no_origin = Alternative((a1,))
+    shared = Alternative((b, ConstrainedRef("a", ">=", "2")), origin="b | a (>= 2)")
+    kept = Alternative((a2, b1), origin="a (>= 2) | b")
+    empty = Alternative((), origin="x (>= 9)")
+
+    def depends(*alternatives):
+        return DependencyExpression(alternatives)
+
+    return {
+        "hand-repeats": [
+            PackageStanza("a", "1"),
+            PackageStanza("a", "2", depends=depends(kept)),
+            PackageStanza("b", "1", conflicts=(a1,)),
+            PackageStanza(
+                "p", "1", depends=depends(repeat, repeat_exact, shared), conflicts=(b, b, b1)
+            ),
+            PackageStanza("q", "1", depends=depends(shared, no_origin, shared)),
+            PackageStanza("r", "1", depends=depends(kept, empty), conflicts=(a2, a2)),
+        ],
+        "hand-virtual": [
+            PackageStanza("a", "1", provides=("v",)),
+            PackageStanza("b", "1", depends=depends(kept), provides=("v", "w")),
+            PackageStanza(
+                "p", "1",
+                depends=depends(
+                    Alternative((v,), origin="v"),
+                    Alternative((v, a), origin="v | a"),
+                    Alternative((w,)),
+                    kept,
+                ),
+                conflicts=(v,),
+            ),
+            PackageStanza(
+                "q", "1", depends=depends(kept), conflicts=(w, ConstrainedRef("v", ">=", "1"))
+            ),
+            PackageStanza("r", "1", conflicts=(v, a1, v)),
+            PackageStanza("v", "2", depends=depends(Alternative((v, v), origin="v | v"))),
+            PackageStanza("w", "1", provides=("w",), conflicts=(w,)),
+        ],
+    }
+
+
 def frontend_inputs() -> dict[str, list[PackageStanza]]:
-    """The golden inputs: 300 seeded random distributions and the samples."""
+    """The golden inputs: 300 seeded random distributions, the samples
+    and the hand-built lists."""
     inputs = {f"random-{seed}": random_raw_stanzas(random.Random(seed)) for seed in range(300)}
     inputs["constraint-sample"] = stanzas_of(CONSTRAINT_SAMPLE)
     inputs["virtual-sample"] = stanzas_of(VIRTUAL_SAMPLE)
     inputs["chain-sample"] = stanzas_of(CHAIN_SAMPLE)
     inputs["coexist-sample"] = stanzas_of(_COEXIST_SAMPLE)
+    inputs.update(hand_built_inputs())
     return inputs
+
+
+def frontend_digests() -> dict[str, str]:
+    """`frontend_digest` of every golden input, and `passes_digest` of
+    each hand-built one."""
+    digests = {key: frontend_digest(stanzas) for key, stanzas in frontend_inputs().items()}
+    for key, stanzas in hand_built_inputs().items():
+        digests[f"{key}-passes"] = passes_digest(stanzas)
+    return digests
 
 
 def test_one_object_per_package():
@@ -439,13 +535,11 @@ def test_front_end_matches_recorded_digests():
     """Expansion, repository and encoding of every golden input are
     exactly as recorded (`python tests/test_expand.py` rewrites them)."""
     recorded = dict(line.split() for line in _DIGESTS.read_text().splitlines())
-    got = {key: frontend_digest(stanzas) for key, stanzas in frontend_inputs().items()}
+    got = frontend_digests()
     assert got.keys() == recorded.keys()
     drifted = [key for key in got if got[key] != recorded[key]]
     assert not drifted, f"{len(drifted)} inputs drifted, first {drifted[:5]}"
 
 
 if __name__ == "__main__":
-    _DIGESTS.write_text(
-        "".join(f"{key} {frontend_digest(s)}\n" for key, s in frontend_inputs().items())
-    )
+    _DIGESTS.write_text("".join(f"{key} {digest}\n" for key, digest in frontend_digests().items()))
