@@ -67,19 +67,22 @@ def _part_cmp(a: str, b: str) -> int:
     return 0
 
 
-def _split(v: str) -> tuple[int, str, str]:
+def _split(v: str) -> tuple[str, str, str]:
     """Split into (epoch, upstream, revision).
 
-    A leading ``digits:`` is the epoch; anything else containing ``:`` is
-    kept as upstream text (ill-formed epochs get an ordering rather than
-    an error).  The revision is everything after the last ``-``; a missing
-    revision compares equal to ``0``.
+    A leading run of ASCII digits before ``:`` is the epoch, returned
+    without its leading zeros (``""`` for none), so that two epochs
+    compare by length and then by text, with no `int()` to reject huge
+    ones.  Anything else containing ``:`` is kept as upstream text
+    (ill-formed epochs get an ordering rather than an error).  The
+    revision is everything after the last ``-``; a missing revision
+    compares equal to ``0``.
     """
-    epoch = 0
+    epoch = ""
     rest = v
     head, sep, tail = v.partition(":")
-    if sep and head.isdigit():
-        epoch = int(head)
+    if sep and head.isascii() and head.isdigit():
+        epoch = head.lstrip("0")
         rest = tail
     upstream, sep, revision = rest.rpartition("-")
     if not sep:
@@ -96,7 +99,7 @@ def version_cmp(v1: str, v2: str) -> int:
     e1, u1, r1 = _split(v1)
     e2, u2, r2 = _split(v2)
     if e1 != e2:
-        return -1 if e1 < e2 else 1
+        return -1 if (len(e1), e1) < (len(e2), e2) else 1
     c = _part_cmp(u1, u2)
     if c:
         return c

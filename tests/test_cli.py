@@ -293,6 +293,24 @@ class TestCheckCommand:
         repo = build_repository(expand(parse_packages(CHAIN_SAMPLE).stanzas))
         assert result["packages"] == len(repo.packages)
 
+    def test_odd_epochs_print_a_report(self, sample_file):
+        """A non-ASCII digit or more than 4300 digits before the colon,
+        in a version or a constraint, gives a report, not a traceback."""
+        big = "9" * 5000
+        path = sample_file(
+            "Package: a\nVersion: \u00b2:1.0\n\n"
+            f"Package: b\nVersion: {big}:1\nDepends: a (>= \u00b2:1)\n\n"
+            f"Package: c\nVersion: 1\nDepends: b (>> {big}:1) | a, b (>= 1:1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "debcheck.cli", path],
+            capture_output=True, env=env, check=False, timeout=60,
+        )
+        assert b"Traceback" not in done.stderr, done.stderr
+        assert done.returncode == 0
+        assert done.stdout.decode().splitlines()[-1] == "3 packages, 0 not installable (clear)"
+
     def test_virtual_packages_not_reported(self, sample_file, capsys):
         code, out, _ = run([sample_file(VIRTUAL_SAMPLE)], capsys)
         assert code == 0

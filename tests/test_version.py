@@ -48,6 +48,27 @@ def test_malformed_epoch_is_treated_as_text():
     assert compare_versions("x:1", "1") in (VersionOrdering.LT, VersionOrdering.GT)
 
 
+def test_epoch_is_read_from_ascii_digits_only():
+    # str.isdigit() accepts "²", which int() rejects; dpkg reads no epoch
+    # there, so the whole string is upstream text and still ordered.
+    assert version_cmp("²:1.0", "²:1.0") == 0
+    assert version_cmp("²:1.0", "1.0") == -version_cmp("1.0", "²:1.0") != 0
+    assert version_cmp("1:0", "²:1.0") == 1
+    assert satisfies("²:1.0", ">=", "²:1")
+
+
+def test_epochs_longer_than_int_conversion_allows():
+    # Python refuses int() of more than 4300 digits; epochs compare as text.
+    big = "9" * 5000
+    assert version_cmp(f"{big}:1", "1:9") == 1
+    assert version_cmp("1:9", f"{big}:1") == -1
+    assert version_cmp(f"{big}:1", f"{big}:2") == -1
+    assert version_cmp(f"{big}8:1", f"{big}9:0") == -1
+    assert version_cmp("0" * 5000 + "1:2", "1:2") == 0
+    assert version_cmp("0" * 5000 + ":2", "2") == 0
+    assert satisfies("1:1", "<<", f"{big}:0")
+
+
 @pytest.mark.parametrize(
     "version,relation,reference,expected",
     [
