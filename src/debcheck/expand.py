@@ -210,6 +210,8 @@ class _Pass:
     def refs(self, refs: tuple[ConstrainedRef, ...]) -> tuple[ConstrainedRef, ...]:
         if len(refs) == 1:
             return self._ref(refs[0])
+        if not refs:
+            return refs
         return tuple(dict.fromkeys(r for ref in refs for r in self._ref(ref)))
 
     def stanza(
@@ -217,35 +219,30 @@ class _Pass:
     ) -> PackageStanza:
         """`s` with its dependencies rewritten and these conflicts and
         provides; `s` itself when that changes nothing."""
-        depends = self._depends(s.depends)
-        if depends is s.depends and conflicts == s.conflicts and provides == s.provides:
+        depends = s.depends
+        given = depends.conjuncts
+        get = self.alternatives.get
+        conjuncts = []
+        for alt in given:
+            hit = get(id(alt))
+            conjuncts.append(self.alternative(alt) if hit is None else hit)
+        if not all(map(operator.is_, conjuncts, given)):
+            depends = DependencyExpression(tuple(conjuncts))
+        elif conflicts == s.conflicts and provides == s.provides:
             return s
         return PackageStanza(
-            name=s.name,
-            version=s.version,
-            depends=depends,
-            conflicts=conflicts,
-            provides=provides,
-            replaces=s.replaces,
-            architecture=s.architecture,
-            is_virtual=s.is_virtual,
+            s.name, s.version, depends, conflicts, provides, s.replaces, s.architecture,
+            s.is_virtual,
         )
 
-    def _depends(self, expr: DependencyExpression) -> DependencyExpression:
-        conjuncts = tuple(map(self._alternative, expr.conjuncts))
-        if all(map(operator.is_, conjuncts, expr.conjuncts)):
-            return expr
-        return DependencyExpression(conjuncts)
-
-    def _alternative(self, alt: Alternative) -> Alternative:
-        hit = self.alternatives.get(id(alt))
-        if hit is None:
-            refs = self.refs(alt.refs)
-            hit = alt
-            # equality ignores `origin`, which must end up set
-            if alt.origin is None or refs != alt.refs:
-                hit = Alternative(refs, origin=alt.label())
-            self.alternatives[id(alt)] = hit
+    def alternative(self, alt: Alternative) -> Alternative:
+        """Rewrite an alternative met for the first time, and remember it."""
+        refs = self.refs(alt.refs)
+        hit = alt
+        # equality ignores `origin`, which must end up set
+        if alt.origin is None or refs != alt.refs:
+            hit = Alternative(refs, alt.label())
+        self.alternatives[id(alt)] = hit
         return hit
 
 
@@ -272,6 +269,7 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
     whose single dependency alternative lists all providers (plus any
     real versions of that name).  Conflicts against a provided name become
     conflicts against each provider except the conflicting package itself.
+    A stanza that this changes nothing in comes back as the same object.
     """
     stanzas = list(stanzas)
     providers: dict[str, list[tuple[str, str]]] = {}
@@ -309,15 +307,41 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
             kept.append(ConstrainedRef(ref.name, "=", v))
         return kept
 
+    def rewrites(alt: Alternative) -> bool:
+        """Whether the pass changes `alt`: exactly when it has no origin,
+        names a provided name bare, or repeats a reference."""
+        refs = alt.refs
+        return (
+            alt.origin is None
+            or (len(refs) > 1 and len(set(refs)) < len(refs))
+            or (bool(providers) and any(map(is_virtual_ref, refs)))
+        )
+
     rewritten = _Pass(rewrite_dep)
+    memo = rewritten.alternatives
+    get = memo.get
     out = []
     for s in stanzas:
         conflicts = s.conflicts
-        if len(conflicts) > 1 or any(map(is_virtual_ref, conflicts)):
+        # they change exactly when one repeats or names a provided name bare
+        if (len(conflicts) > 1 and len(set(conflicts)) < len(conflicts)) or (
+            providers and any(map(is_virtual_ref, conflicts))
+        ):
             owner = (s.name, s.version)
             conflicts = tuple(dict.fromkeys(
                 r for ref in conflicts for r in rewrite_conflict(owner, ref)
             ))
+        elif not s.provides:
+            # `s` comes back as itself unless the pass changes an alternative
+            for alt in s.depends.conjuncts:
+                hit = get(id(alt))
+                if hit is None:
+                    hit = memo[id(alt)] = rewritten.alternative(alt) if rewrites(alt) else alt
+                if hit is not alt:
+                    break
+            else:
+                out.append(s)
+                continue
         out.append(rewritten.stanza(s, conflicts, ()))
 
     for name in sorted(providers):
@@ -354,11 +378,13 @@ def build_repository(stanzas: list[PackageStanza]) -> Repository:
     object that several stanzas share becomes one shared `DepClause`.
     """
     ids: dict[tuple[str, str], PackageId] = {}
+    owners = []
     for s in stanzas:
         key = (s.name, s.version)
         if key in ids:
             raise RepositoryError(f"duplicate package after expansion: {ids[key].render()}")
-        ids[key] = PackageId(s.name, s.version)
+        owner = ids[key] = PackageId(s.name, s.version)
+        owners.append(owner)
 
     order = sorted(ids.values(), key=package_sort_key)
     byname: dict[str, list[PackageId]] = {}
@@ -385,15 +411,18 @@ def build_repository(stanzas: list[PackageStanza]) -> Repository:
     conflicts: set[tuple[PackageId, PackageId]] = set()
     virtuals: set[PackageId] = set()
 
-    for s in stanzas:
-        owner = ids[(s.name, s.version)]
+    def new_clause(alt: Alternative) -> DepClause:
+        refs = alt.refs
+        members = resolve(refs[0]) if len(refs) == 1 else frozenset().union(*map(resolve, refs))
+        clause = shared[id(alt)] = DepClause(members, alt.label())
+        return clause
+
+    get = shared.get
+    for s, owner in zip(stanzas, owners):
         clauses = []
         for alt in s.depends.conjuncts:
-            clause = shared.get(id(alt))
-            if clause is None:
-                members = frozenset().union(*[resolve(ref) for ref in alt.refs])
-                clause = shared[id(alt)] = DepClause(members, label=alt.label())
-            clauses.append(clause)
+            hit = get(id(alt))
+            clauses.append(new_clause(alt) if hit is None else hit)
         deps[owner] = tuple(clauses)
         for ref in s.conflicts:
             for other in resolve(ref):

@@ -121,7 +121,8 @@ class _RelationReader:
     """Reads relation fields.  Equal references, and alternatives of the
     same references, come back as one shared object each, so the reader
     of one `parse_packages` call stores each of them once.  It reads each
-    distinct conjunct text (what lies between two commas) once."""
+    distinct conjunct text (what lies between two commas, without the
+    whitespace around it) once."""
 
     def __init__(self) -> None:
         self._refs: dict[tuple[str, str | None, str | None], ConstrainedRef] = {}
@@ -152,7 +153,8 @@ class _RelationReader:
         its alternatives or its first error and offset."""
         known = self._conjuncts
         conjuncts = []
-        for part in text.split(","):
+        # whitespace around a conjunct reads as nothing, so ` a` and `a` share a key
+        for part in map(str.strip, text.split(",")):
             alt = known.get(part)
             if alt is None:
                 try:
