@@ -307,14 +307,11 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
             kept.append(ConstrainedRef(ref.name, "=", v))
         return kept
 
-    def rewrites(alt: Alternative) -> bool:
-        """Whether the pass changes `alt`: exactly when it has no origin,
-        names a provided name bare, or repeats a reference."""
-        refs = alt.refs
-        return (
-            alt.origin is None
-            or (len(refs) > 1 and len(set(refs)) < len(refs))
-            or (bool(providers) and any(map(is_virtual_ref, refs)))
+    def changes(refs: tuple[ConstrainedRef, ...]) -> bool:
+        """Whether this pass rewrites `refs`: exactly when one repeats or
+        names a provided name bare."""
+        return (len(refs) > 1 and len(set(refs)) < len(refs)) or (
+            bool(providers) and any(map(is_virtual_ref, refs))
         )
 
     rewritten = _Pass(rewrite_dep)
@@ -323,10 +320,7 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
     out = []
     for s in stanzas:
         conflicts = s.conflicts
-        # they change exactly when one repeats or names a provided name bare
-        if (len(conflicts) > 1 and len(set(conflicts)) < len(conflicts)) or (
-            providers and any(map(is_virtual_ref, conflicts))
-        ):
+        if changes(conflicts):
             owner = (s.name, s.version)
             conflicts = tuple(dict.fromkeys(
                 r for ref in conflicts for r in rewrite_conflict(owner, ref)
@@ -336,7 +330,11 @@ def expand_virtual_packages(stanzas: list[PackageStanza]) -> list[PackageStanza]
             for alt in s.depends.conjuncts:
                 hit = get(id(alt))
                 if hit is None:
-                    hit = memo[id(alt)] = rewritten.alternative(alt) if rewrites(alt) else alt
+                    # an alternative also changes when it has no origin yet
+                    if alt.origin is None or changes(alt.refs):
+                        hit = rewritten.alternative(alt)
+                    else:
+                        hit = memo[id(alt)] = alt
                 if hit is not alt:
                     break
             else:
