@@ -40,7 +40,7 @@ from .contents import (
     parse_contents,
     shared_file_pairs,
 )
-from .expand import PackageId, Repository, build_repository, expand, package_sort_key
+from .expand import PackageId, Repository, build_repository, expand
 from .solver import CheckResult, RepositoryChecker
 from .solver import check_all  # noqa: F401  bench/tracer.py wraps cli.check_all by name
 from .stanza import ParseResult, parse_packages
@@ -197,9 +197,10 @@ def _load_repository(
 def _select_packages(
     repo: Repository, selectors: list[str], err: IO
 ) -> tuple[list[PackageId], bool]:
-    """Resolve name / name=version selectors; returns (selection, ok)."""
+    """Resolve name / name=version selectors, or select every real package
+    when there are none; returns (selection, ok)."""
     if not selectors:
-        return list(repo.packages), True
+        return [pid for pid in repo.packages if pid not in repo.virtuals], True
     selected: list[PackageId] = []
     ok = True
     for selector in selectors:
@@ -214,7 +215,7 @@ def _select_packages(
         else:
             print(f"debcheck: unknown package: {selector}", file=err)
             ok = False
-    return sorted(set(selected), key=package_sort_key), ok
+    return selected, ok
 
 
 def _result_json(pid: PackageId, result: CheckResult, explain: bool) -> dict:
@@ -252,19 +253,10 @@ def run_check(args: argparse.Namespace, stdin: IO, out: IO, err: IO) -> int:
         return 2
 
     t0 = time.monotonic()
-    if args.check:
-        results = {pid: checker.query([pid], args.explain) for pid in selection}
-    else:
-        results = {
-            pid: result
-            for pid, result in checker.check_all(args.explain).items()
-            if pid not in repo.virtuals
-        }
+    results = checker.check_all(args.explain, selection)
     timings.solve = time.monotonic() - t0
     print(f"Checking packages... {timings.solve:.1f} seconds", file=err)
 
-    # `check_all` answers in repository order, `--check` in selection order,
-    # and both are the canonical package order
     ordered = list(results.items())
     summary = summarize(results)
 

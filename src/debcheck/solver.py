@@ -54,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .expand import (
     DepClause,
@@ -810,12 +810,7 @@ class RepositoryChecker:
     def query(self, pids: list[PackageId], explain: bool = True) -> CheckResult:
         if not pids:
             raise ValueError("query set must be non-empty")
-        index = self.clause_set.index
-        try:
-            assumptions = sorted({index[p] for p in pids})
-        except KeyError:
-            missing = min((p for p in pids if p not in index), key=package_sort_key)
-            raise ValueError(f"package not in repository: {missing}") from None
+        assumptions = self._variables(pids)
         sat, payload = self._engine.solve(assumptions, core=explain)
         if sat:
             witness = frozenset(self.clause_set.package_of(v) for v in payload)
@@ -827,20 +822,23 @@ class RepositoryChecker:
             return CheckResult(False)
         return CheckResult(False, explanation=self._explain(assumptions, payload))
 
-    def check_all(self, explain: bool = True) -> dict[PackageId, CheckResult]:
-        """Per-package verdicts for the whole repository, in repository order.
+    def check_all(self, explain: bool = True,
+                  only: Collection[PackageId] | None = None) -> dict[PackageId, CheckResult]:
+        """Per-package verdicts, in repository order, for the packages of
+        `only` (`ValueError` if one is unknown) or of the whole repository.
 
-        Packages that `_witness_pass` gives a witness are settled without
-        search; the others, doomed ones included, get one query each.  The
-        witnesses are pooled first fit, in the pass's order, into unions
-        that no conflict pair spans (the same test as the pass's fit), so
-        each union is a healthy installation, and every package settled
-        by one shares its `CheckResult`.  Verdicts and explanations equal
-        fresh per-package checks.  Explanations are built only when
-        `explain` is set.
+        `_witness_pass` walks the cones of the selected packages; those it
+        gives a witness are settled without search, and the others, doomed
+        ones included, get one query each.  The witnesses are pooled first
+        fit, in the pass's order, into unions that no conflict pair spans
+        (the same test as the pass's fit), so each union is a healthy
+        installation, and every package settled by one shares its
+        `CheckResult`.  Verdicts and explanations, built only when `explain`
+        is set, equal fresh per-package checks whatever the selection.
         """
+        selected = range(1, len(self.repo.packages) + 1) if only is None else self._variables(only)
         doomed = self._engine.never_installable_vars()
-        at, walk = _witness_pass(self.clause_set, doomed)
+        at, walk = _witness_pass(self.clause_set, doomed, selected)
         unions: list[tuple[int, int]] = []  # (union of witnesses, its near)
         group_of: dict[int, int] = {}  # settled variable -> its union
         for members, cone, near in walk:
@@ -860,8 +858,8 @@ class RepositoryChecker:
             assert all(check_health(w, self.repo).healthy for w in witnesses)
         shared = [CheckResult(True, witness=w) for w in witnesses]
         results: dict[PackageId, CheckResult] = {}
-        for v, pid in enumerate(self.repo.packages, 1):
-            group = group_of.get(v)
+        for v in selected:
+            pid, group = package_of(v), group_of.get(v)
             results[pid] = self.query([pid], explain) if group is None else shared[group]
         return results
 
@@ -886,7 +884,7 @@ class RepositoryChecker:
         index, package_of = clause_set.index, clause_set.package_of
         asked = {index[p] for pair in pairs for p in pair}
         doomed = self._engine.never_installable_vars()
-        at, walk = _witness_pass(clause_set, doomed)
+        at, walk = _witness_pass(clause_set, doomed, range(1, len(clause_set.packages) + 1))
         witness_of = {v: (cone, near) for members, cone, near in walk for v in members if v in asked}
         pos = [-1] * (len(clause_set.packages) + 1)
         for i, v in enumerate(at):
@@ -929,6 +927,15 @@ class RepositoryChecker:
         metric, so it stays until the tracer reads counters kept by the
         program instead."""
         return self.query(pids, explain=False)
+
+    def _variables(self, pids: Collection[PackageId]) -> list[int]:
+        """The ascending variables of `pids`; `ValueError` names one not in the repository."""
+        index = self.clause_set.index
+        try:
+            return sorted({index[p] for p in pids})
+        except KeyError:
+            missing = min((p for p in pids if p not in index), key=package_sort_key)
+            raise ValueError(f"package not in repository: {missing}") from None
 
     def _explain(self, assumptions: list[int], core: set[int]) -> Explanation:
         """The explanation of an unsatisfiable core given as base clause
@@ -1024,10 +1031,10 @@ def _components(
 
 
 def _witness_pass(
-    clause_set: ClauseSet, doomed: set[int]
+    clause_set: ClauseSet, doomed: set[int], roots: Iterable[int]
 ) -> tuple[list[int], Iterator[tuple[list[int], int, int]]]:
     """Healthy installations, found without search, for the packages whose
-    dependencies can be met by choices.
+    dependencies can be met by choices, among those that `roots` reach.
 
     `clause_set` must hold no assumptions: every clause from `ends[-1]`
     on is taken for a conflict pair.
@@ -1060,6 +1067,7 @@ def _witness_pass(
     is the case where each clause's first member with a witness fits, so
     every package with a clean cone gets a witness.  A witness is kept
     only until the last component with an edge into it has been walked.
+    A component's witness depends only on what it reaches, not on `roots`.
 
     Returns `at`, each bit position's variable, and an iterator that walks
     the components and yields (members, cone, near) for each one that
@@ -1071,7 +1079,7 @@ def _witness_pass(
     def successors(v: int) -> Iterator[int]:
         return (m for clause in clauses[ends[v - 1]:ends[v]] for m in clause[1:] if m not in doomed)
 
-    sccs, comp = _components(successors, n + 1, (v for v in range(1, n + 1) if v not in doomed))
+    sccs, comp = _components(successors, n + 1, (v for v in roots if v not in doomed))
     at = [v for members in sccs for v in members]  # bit position -> variable
     pos = [-1] * (n + 1)
     for i, v in enumerate(at):
@@ -1081,9 +1089,9 @@ def _witness_pass(
     size = len(at)
     records = []
     for a, b in clauses[ends[n]:]:
-        lo, hi = sorted((pos[-a], pos[-b]))
-        if lo >= 0:
-            records.append(hi * size + lo)
+        i, j = pos[-a], pos[-b]
+        if i >= 0 and j >= 0:
+            records.append(i * size + j if i > j else j * size + i)
     records.sort()
     del pos
     last = list(range(len(sccs)))  # the last component to read each witness

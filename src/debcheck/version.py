@@ -26,12 +26,13 @@ class VersionOrdering(enum.Enum):
 
 def _char_order(c: str) -> int:
     # '~' sorts before end-of-string and digits (both order 0, as in
-    # dpkg); letters before punctuation.
+    # dpkg); letters before punctuation.  As in dpkg, only ASCII
+    # characters are digits or letters; "²" and "é" rank as punctuation.
     if c == "~":
         return -1
-    if c.isdigit():
+    if "0" <= c <= "9":
         return 0
-    if c.isalpha():
+    if c.isascii() and c.isalpha():
         return ord(c)
     return ord(c) + 256
 
@@ -41,7 +42,7 @@ def _part_cmp(a: str, b: str) -> int:
     ia = ib = 0
     la, lb = len(a), len(b)
     while ia < la or ib < lb:
-        while (ia < la and not a[ia].isdigit()) or (ib < lb and not b[ib].isdigit()):
+        while (ia < la and not "0" <= a[ia] <= "9") or (ib < lb and not "0" <= b[ib] <= "9"):
             oa = _char_order(a[ia]) if ia < la else 0
             ob = _char_order(b[ib]) if ib < lb else 0
             if oa != ob:
@@ -53,14 +54,14 @@ def _part_cmp(a: str, b: str) -> int:
         while ib < lb and b[ib] == "0":
             ib += 1
         first_diff = 0
-        while ia < la and ib < lb and a[ia].isdigit() and b[ib].isdigit():
+        while ia < la and ib < lb and "0" <= a[ia] <= "9" and "0" <= b[ib] <= "9":
             if first_diff == 0:
                 first_diff = ord(a[ia]) - ord(b[ib])
             ia += 1
             ib += 1
-        if ia < la and a[ia].isdigit():
+        if ia < la and "0" <= a[ia] <= "9":
             return 1
-        if ib < lb and b[ib].isdigit():
+        if ib < lb and "0" <= b[ib] <= "9":
             return -1
         if first_diff:
             return -1 if first_diff < 0 else 1

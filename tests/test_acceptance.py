@@ -18,7 +18,7 @@ from debcheck.expand import (
     expand,
     expand_version_constraints,
 )
-from debcheck.model import generate_rn
+from debcheck.model import check_health, generate_rn
 from debcheck.solver import (
     brute_force_check,
     check_all,
@@ -30,7 +30,7 @@ from debcheck.weather import WeatherCategory, weather_category
 
 from conftest import CHAIN_SAMPLE, CONSTRAINT_SAMPLE, VIRTUAL_SAMPLE
 from test_expand import relation_sets
-from conftest import random_repository
+from conftest import propagation_refutes, random_repository
 
 
 def criterion(number, title):
@@ -269,6 +269,17 @@ def test_criterion_6_scale():
     assert broken > 0  # the seeded distribution does contain breakage
     assert elapsed < 60.0, f"check_all on 20k packages took {elapsed:.1f}s"
     print(f"[acceptance]    scale run: {elapsed:.1f}s, {broken} broken", end=" ")
+    # Certificates, outside the bound: each distinct witness is a healthy
+    # installation holding every package that shares it, and unit
+    # propagation refutes every explanation.
+    sharing = {}
+    for pid, result in results.items():
+        if result.installable:
+            sharing.setdefault(id(result.witness), (result.witness, []))[1].append(pid)
+    for witness, pids in sharing.values():
+        assert check_health(witness, repo).healthy
+        assert witness.issuperset(pids)
+    assert all(propagation_refutes(r.explanation) for r in results.values() if not r.installable)
 
 
 @criterion(7, "weather bands")

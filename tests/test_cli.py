@@ -40,6 +40,23 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+#: The only provider of `x` needs a missing package, so the synthesized
+#: virtual package `x` is broken too, and so is `a`, which needs it.
+BROKEN_VIRTUAL_SAMPLE = """\
+Package: a
+Version: 1
+Depends: x
+
+Package: b
+Version: 1
+Provides: x
+Depends: gone
+
+Package: c
+Version: 1
+"""
+
+
 class TestCheckCommand:
     def test_all_installable_exits_zero(self, sample_file, capsys):
         code, out, err = run([sample_file(CONSTRAINT_SAMPLE)], capsys)
@@ -75,10 +92,10 @@ class TestCheckCommand:
             parsed.append(weakref.ref(result))
             return result
 
-        def probing_check_all(self, explain=True):
+        def probing_check_all(self, *args):
             gc.collect()
             alive_at_search.append(parsed[0]() is not None)
-            return check_all(self, explain)
+            return check_all(self, *args)
 
         monkeypatch.setattr(cli, "parse_packages", recording_parse)
         monkeypatch.setattr(RepositoryChecker, "check_all", probing_check_all)
@@ -323,6 +340,39 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert f"debcheck: unknown package: {selector}" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--explain"], ["--format=json"],
+                                       ["--explain", "--format=json"]])
+    @pytest.mark.parametrize("text", [CONSTRAINT_SAMPLE, VIRTUAL_SAMPLE, CHAIN_SAMPLE,
+                                      BROKEN_VIRTUAL_SAMPLE],
+                             ids=["constraint", "virtual", "chain", "broken-virtual"])
+    def test_selecting_every_package_prints_the_whole_report(self, sample_file, capsys,
+                                                             text, flags):
+        """A selection goes through the whole-archive path, so selecting
+        every real package prints the whole-archive report."""
+        repo = build_repository(expand(parse_packages(text).stanzas))
+        selectors = [f"--check={p.name}={p.version}" for p in repo.packages
+                     if p not in repo.virtuals]
+        path = sample_file(text)
+        assert run([*flags, *selectors, path], capsys)[:2] == run([*flags, path], capsys)[:2]
+
+    def test_no_virtual_package_is_explained(self, sample_file, capsys, monkeypatch):
+        """The report leaves out synthesized virtual packages, so a run
+        builds no explanation for one, whole or selected."""
+        repo = build_repository(expand(parse_packages(BROKEN_VIRTUAL_SAMPLE).stanzas))
+        explain, explained = RepositoryChecker._explain, []
+
+        def recording_explain(self, assumptions, core):
+            explained.extend(map(self.clause_set.package_of, assumptions))
+            return explain(self, assumptions, core)
+
+        monkeypatch.setattr(RepositoryChecker, "_explain", recording_explain)
+        path = sample_file(BROKEN_VIRTUAL_SAMPLE)
+        for selectors in ([], ["--check", "a"]):
+            code, out, _ = run(["--explain", *selectors, path], capsys)
+            assert code == 1 and "a (= 1): NOT INSTALLABLE" in out
+        assert {p.name for p in explained} == {"a", "b"}
+        assert repo.virtuals and not repo.virtuals & set(explained)
 
 
 def _backjump_gadgets(count):

@@ -176,6 +176,8 @@ class TestCheckInstallable:
             check_installable(repo, pid("ghost"))
         with pytest.raises(ValueError, match=message):
             check_coinstallable(repo, frozenset({pid("a"), pid("ghost")}))
+        with pytest.raises(ValueError, match=message):
+            solver.RepositoryChecker(repo).check_all(only=[pid("a"), pid("zz"), pid("ghost")])
 
 
 class TestCheckCoinstallable:
@@ -265,8 +267,11 @@ class TestCheckAll:
         assert all(explained[pid(n)].explanation.dep_edges for n in short)
 
     def test_agrees_with_fresh_single_checks(self):
+        """Whole-repository checks agree with fresh single checks, and a
+        selection, walked from its own cones, gives exactly its packages
+        in repository order with the whole check's verdicts and lines."""
         # 40 packages mix clean and dirty cones past the brute-force size
-        rng = random.Random(4)
+        rng, pick = random.Random(4), random.Random(5)
         for max_packages, _ in product((10, 40), range(40)):
             repo = random_repository(rng, max_packages=max_packages)
             combined = check_all(repo)
@@ -277,6 +282,19 @@ class TestCheckAll:
                 if combined[target].installable:
                     assert target in combined[target].witness
                     assert check_health(combined[target].witness, repo).healthy
+            some = pick.sample(repo.packages, pick.randint(1, len(repo.packages)))
+            for selection in ([], some, some[:3] * 2 + [repo.packages[-1]]):
+                selected = solver.RepositoryChecker(repo).check_all(True, only=selection)
+                assert list(selected) == [p for p in repo.packages if p in selection]
+                for target, result in selected.items():
+                    whole = combined[target]
+                    assert result.installable == whole.installable
+                    if result.installable:
+                        assert target in result.witness
+                        assert check_health(result.witness, repo).healthy
+                    else:
+                        lines = result.explanation.render_lines()
+                        assert lines == whole.explanation.render_lines()
 
     @pytest.mark.parametrize(
         "stanzas, clean",
@@ -333,7 +351,7 @@ class TestCheckAll:
         repo = repo_from("\n\n".join(blocks) + "\n")
         checker = solver.RepositoryChecker(repo)
         doomed = checker._engine.never_installable_vars()
-        _, walk = solver._witness_pass(checker.clause_set, doomed)
+        _, walk = solver._witness_pass(checker.clause_set, doomed, range(1, len(repo.packages) + 1))
         settled = {v for members, _, _ in walk for v in members}
         assert {checker.clause_set.package_of(v).name for v in settled} == clean
         for target, result in check_all(repo).items():
@@ -376,7 +394,7 @@ class TestWitnessPass:
             checker = solver.RepositoryChecker(repo)
             doomed = checker._engine.never_installable_vars()
             package_of = checker.clause_set.package_of
-            at, walk = solver._witness_pass(checker.clause_set, doomed)
+            at, walk = solver._witness_pass(checker.clause_set, doomed, range(1, len(repo.packages) + 1))
             settled = set()
             for members, cone, _ in walk:
                 witness = frozenset(package_of(at[i]) for i in solver._set_bits(cone))
@@ -427,7 +445,8 @@ class TestWitnessPass:
         witnesses, the 2905 installable results share 32 witness objects."""
         checker = solver.RepositoryChecker(sample_3000)
         doomed = checker._engine.never_installable_vars()
-        _, walk = solver._witness_pass(checker.clause_set, doomed)
+        _, walk = solver._witness_pass(checker.clause_set, doomed,
+                                       range(1, len(sample_3000.packages) + 1))
         assert sum(len(members) for members, _, _ in walk) == 2901
         verdicts = counting_queries(monkeypatch)
         results = check_all(sample_3000, explain=False)
