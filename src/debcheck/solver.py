@@ -39,9 +39,12 @@ and no formatting.  Each kept result is a function of its key,
 so an explanation still depends only on the repository and the query.
 Pair queries reuse models: two healthy installations that no
 conflict pair spans have a healthy union, so a pair is settled without
-search when witnesses of its packages, from a search-free pass or from
-earlier queries, fit (Vouillon & Di Cosmo, "On software component
-co-installability", ESEC/FSE 2011).
+a query when witnesses of its packages fit (Vouillon & Di Cosmo, "On
+software component co-installability", ESEC/FSE 2011).  The witnesses
+come from the models of earlier pair queries and from a pass over the
+dependency graph.  The pass searches only where a dependency's choice
+lies in a cycle whose members conflict: it solves that one member,
+once, and the model is the member's own witness too.
 Everything iterates in fixed orders, so verdicts, witnesses, and
 explanations are reproducible run to run.
 """
@@ -837,8 +840,7 @@ class RepositoryChecker:
         is set, equal fresh per-package checks whatever the selection.
         """
         selected = range(1, len(self.repo.packages) + 1) if only is None else self._variables(only)
-        doomed = self._engine.never_installable_vars()
-        at, walk = _witness_pass(self.clause_set, doomed, selected)
+        at, walk = _witness_pass(self.clause_set, self._engine, selected)
         unions: list[tuple[int, int]] = []  # (union of witnesses, its near)
         group_of: dict[int, int] = {}  # settled variable -> its union
         for members, cone, near in walk:
@@ -875,21 +877,22 @@ class RepositoryChecker:
         one `query`, and the model of a satisfiable one becomes the witness
         of each asked package it holds that has none yet.
 
-        Witnesses are (cone, near) bitsets in `_witness_pass`'s positions.
-        A model's `near` holds every conflict partner of its members, so
-        the fit test stays exact for any mix of pass and model witnesses;
-        a doomed partner has no position, and no witness holds it.
+        Witnesses are (cone, near) bitsets in `_witness_pass`'s positions,
+        from the pass (its member witnesses included) or from a query's
+        model.  `_model_witness` turns each model into bitsets whose `near`
+        holds every conflict partner of its members, so the fit test stays
+        exact for any mix of witnesses; a doomed partner has no position,
+        and no witness holds it.
         """
         clause_set = self.clause_set
         index, package_of = clause_set.index, clause_set.package_of
         asked = {index[p] for pair in pairs for p in pair}
-        doomed = self._engine.never_installable_vars()
-        at, walk = _witness_pass(clause_set, doomed, range(1, len(clause_set.packages) + 1))
+        engine = self._engine
+        at, walk = _witness_pass(clause_set, engine, range(1, len(clause_set.packages) + 1))
         witness_of = {v: (cone, near) for members, cone, near in walk for v in members if v in asked}
         pos = [-1] * (len(clause_set.packages) + 1)
         for i, v in enumerate(at):
             pos[v] = i
-        occ, clauses, deps_end = self._engine.occ, clause_set.clauses, clause_set.ends[-1]
         checked = __debug__ and len(self.repo.packages) <= _DEBUG_CHECK_LIMIT
 
         answers = []
@@ -909,16 +912,9 @@ class RepositoryChecker:
             fresh = [v for v in asked.intersection(model) if v not in witness_of]
             if not fresh:
                 continue
-            cone = near = 0
-            for v in model:
-                cone |= 1 << pos[v]
-                for ci in occ[-v]:
-                    if ci >= deps_end:  # a conflict pair, (-v, -w) in some order
-                        w = -sum(clauses[ci]) - v
-                        if pos[w] >= 0:
-                            near |= 1 << pos[w]
+            witness = _model_witness(model, pos, engine, clause_set.ends[-1])
             for v in fresh:
-                witness_of[v] = (cone, near)
+                witness_of[v] = witness
         return answers
 
     def _probe(self, pids: list[PackageId]) -> CheckResult:
@@ -1031,50 +1027,70 @@ def _components(
 
 
 def _witness_pass(
-    clause_set: ClauseSet, doomed: set[int], roots: Iterable[int]
+    clause_set: ClauseSet, engine: _Engine, roots: Iterable[int]
 ) -> tuple[list[int], Iterator[tuple[list[int], int, int]]]:
-    """Healthy installations, found without search, for the packages whose
-    dependencies can be met by choices, among those that `roots` reach.
+    """Healthy installations for the packages whose dependencies can be met
+    by choices, among those that `roots` reach, found with a solve only for
+    members of tangled components (below).
 
     `clause_set` must hold no assumptions: every clause from `ends[-1]`
-    on is taken for a conflict pair.
+    on is taken for a conflict pair.  `engine` is its engine, in the base
+    state: the packages it fixes false are doomed.
 
     A package's successors are the members of its dependency clauses that
-    are not `doomed`.  Strongly connected components come children first,
+    are not doomed.  Strongly connected components come children first,
     and bit positions follow that order.  Each conflict pair is recorded at
     its end with the higher position, as the bit of the other end, and
     `near` of a set ORs the records of its members; a pair lies inside a
     set iff its lower end is in `cone & near`.  A witness is such a pair
     of bitsets (cone, near).
 
-    A component's witness starts from its members' bits and records; the
-    component gets none if its members conflict with each other.  Every
+    A component's witness starts from its members' bits and records.  A
+    component whose members conflict with each other (two versions of one
+    name in a dependency cycle, say) is tangled and gets none.  Every
     dependency clause of a member with no member in the component or in a
-    witness merged so far then needs a choice: the first member, in clause
-    order, whose component has a witness that fits the running union.
+    component merged so far then needs a choice: the first member, in
+    clause order, with a witness that fits the running union.  A member's
+    witness is its component's or, in a tangled component, a member
+    witness: the model of `engine.solve([m])` as `_model_witness` turns it
+    into bitsets.  It is made the first time a clause reaches the member,
+    and kept, unsatisfiable results too, until the last component with an
+    edge into its component has been walked, as component witnesses are.
     Fits means no conflict pair spans the two: `kid_cone & near` and
-    `cone & kid_near` are both 0.  The chosen witness is OR'd in.  A
-    clause with no fitting member leaves the component without a witness,
-    and its packages go to the solver.  By induction every witness is a
-    healthy installation that holds the component:
+    `cone & kid_near` are both 0.  The chosen witness is OR'd in, and its
+    component is marked merged unless it is a member witness, which holds
+    none of the component's other members.  A clause with no fitting
+    member leaves the component without a witness, and its packages go to
+    the solver.  By induction every witness is a healthy installation that
+    holds its packages:
 
-    - abundant, because each member has every clause met inside it, and
-      each merged witness is abundant;
-    - at peace, because the members do not conflict, merged witnesses do
-      not, and a fitting merge adds no pair across.
+    - abundant, because each member has every clause met inside it, each
+      merged witness is abundant, and a model is;
+    - at peace, because the members do not conflict, merged witnesses and
+      models do not, and a fitting merge adds no pair across.  The fit
+      test is exact for any mix of witnesses, because every witness's
+      `near` records each conflict pair of its packages at least at the
+      pair's higher end; a member witness's records both ends.
+
+    The search installs a package only as the member itself or to meet a
+    clause of an installed package, so a model lies in the member's cone,
+    and each of its packages has a bit position.
 
     A clean cone (no conflict pair among everything the package reaches)
     is the case where each clause's first member with a witness fits, so
-    every package with a clean cone gets a witness.  A witness is kept
-    only until the last component with an edge into it has been walked.
-    A component's witness depends only on what it reaches, not on `roots`.
+    every package with a clean cone gets a witness.  As a set of packages,
+    a component's witness depends only on what it reaches and a member
+    witness only on its member, not on `roots`; which member witnesses are
+    made depends on the roots, since only a walked clause asks for one.
 
     Returns `at`, each bit position's variable, and an iterator that walks
-    the components and yields (members, cone, near) for each one that
-    gets a witness, children first.
+    the components, children first, and yields (members, cone, near) for
+    each one that gets a witness, and ([m], cone, near) for each member
+    witness as it is made, before the component whose clause asked for it.
     """
     n = len(clause_set.packages)
     clauses, ends = clause_set.clauses, clause_set.ends
+    doomed = engine.never_installable_vars()
 
     def successors(v: int) -> Iterator[int]:
         return (m for clause in clauses[ends[v - 1]:ends[v]] for m in clause[1:] if m not in doomed)
@@ -1093,7 +1109,6 @@ def _witness_pass(
         if i >= 0 and j >= 0:
             records.append(i * size + j if i > j else j * size + i)
     records.sort()
-    del pos
     last = list(range(len(sccs)))  # the last component to read each witness
     for c, members in enumerate(sccs):
         for v in members:
@@ -1102,7 +1117,11 @@ def _witness_pass(
 
     def walk() -> Iterator[tuple[list[int], int, int]]:
         witness_of: dict[int, tuple[int, int]] = {}  # component -> (cone, near)
-        expiring: dict[int, list[int]] = {}  # last reader -> the witnesses it ends
+        solved: dict[int, tuple[int, int] | None] = {}  # member -> its member witness
+        tangled: set[int] = set()  # components whose members conflict with each other
+        # last reader -> the component witnesses and the member witnesses it ends
+        expiring: dict[int, list[int]] = {}
+        lapsing: dict[int, list[int]] = {}
         start = r = 0
         for c, members in enumerate(sccs):
             top = start + len(members)
@@ -1113,6 +1132,8 @@ def _witness_pass(
                 r += 1
             start = top
             settled = not cone & near
+            if not settled:
+                tangled.add(c)
             merged = {c}  # components whose witnesses are in `cone`
             own = (clause for v in members for clause in clauses[ends[v - 1]:ends[v]])
             for clause in own if settled else ():
@@ -1120,17 +1141,29 @@ def _witness_pass(
                 if any(comp[m] in merged for m in choices):
                     continue
                 for m in choices:  # a doomed member has comp -1 and no witness
-                    kid = witness_of.get(comp[m])
+                    k = comp[m]
+                    kid = witness_of.get(k)
+                    if kid is None and k in tangled:
+                        if m not in solved:
+                            sat, model = engine.solve([m])
+                            solved[m] = _model_witness(model, pos, engine, ends[n]) if sat else None
+                            lapsing.setdefault(last[k], []).append(m)
+                            if sat:
+                                yield ([m], *solved[m])
+                        kid = solved[m]
                     if kid is not None and not (kid[0] & near or cone & kid[1]):
                         cone |= kid[0]
                         near |= kid[1]
-                        merged.add(comp[m])
+                        if k not in tangled:
+                            merged.add(k)
                         break
                 else:
                     settled = False
                     break
             for k in expiring.pop(c, ()):
                 del witness_of[k]
+            for m in lapsing.pop(c, ()):
+                del solved[m]
             if not settled:
                 continue
             if last[c] > c:
@@ -1139,6 +1172,27 @@ def _witness_pass(
             yield members, cone, near
 
     return at, walk()
+
+
+def _model_witness(
+    model: Iterable[int], pos: list[int], engine: _Engine, deps_end: int
+) -> tuple[int, int]:
+    """A model's (cone, near) bitsets in `_witness_pass`'s bit positions
+    `pos`, every variable of the model having one.  `near` holds each
+    conflict partner of the model's packages, at both ends of the pair,
+    read from the base engine's occurrence lists, where clause ids from
+    `deps_end` on are conflict pairs.  A doomed partner has no position,
+    and no witness holds it."""
+    occ, clauses = engine.occ, engine.clauses
+    cone = near = 0
+    for v in model:
+        cone |= 1 << pos[v]
+        for ci in occ[-v]:
+            if ci >= deps_end:  # a conflict pair, (-v, -w) in some order
+                w = pos[-sum(clauses[ci]) - v]
+                if w >= 0:
+                    near |= 1 << w
+    return cone, near
 
 
 def _set_bits(bits: int) -> Iterator[int]:

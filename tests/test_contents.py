@@ -240,8 +240,8 @@ class TestClassifyPairs:
         parsed = parse_packages(packages)
         repo = build_repository(expand(parsed.stanzas))
         checker = RepositoryChecker(repo)
-        doomed = checker._engine.never_installable_vars()
-        _, walk = solver._witness_pass(checker.clause_set, doomed, range(1, len(repo.packages) + 1))
+        _, walk = solver._witness_pass(checker.clause_set, checker._engine,
+                                       range(1, len(repo.packages) + 1))
         settled = {checker.clause_set.package_of(v).name for members, _, _ in walk for v in members}
         assert settled == {"s1", "s2", "t", "u", "w"}
         verdicts = counting_queries(monkeypatch)

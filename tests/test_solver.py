@@ -266,12 +266,14 @@ class TestCheckAll:
         assert {p.name for p, r in explained.items() if not r.installable} == set(short)
         assert all(explained[pid(n)].explanation.dep_edges for n in short)
 
-    def test_agrees_with_fresh_single_checks(self):
+    def test_agrees_with_fresh_single_checks(self, monkeypatch):
         """Whole-repository checks agree with fresh single checks, and a
         selection, walked from its own cones, gives exactly its packages
         in repository order with the whole check's verdicts and lines."""
         # 40 packages mix clean and dirty cones past the brute-force size
         rng, pick = random.Random(4), random.Random(5)
+        walk_solves = recording_walk_solves(monkeypatch)
+        member_witnesses = 0
         for max_packages, _ in product((10, 40), range(40)):
             repo = random_repository(rng, max_packages=max_packages)
             combined = check_all(repo)
@@ -284,7 +286,9 @@ class TestCheckAll:
                     assert check_health(combined[target].witness, repo).healthy
             some = pick.sample(repo.packages, pick.randint(1, len(repo.packages)))
             for selection in ([], some, some[:3] * 2 + [repo.packages[-1]]):
+                del walk_solves[:]
                 selected = solver.RepositoryChecker(repo).check_all(True, only=selection)
+                member_witnesses += walk_solves.count(True)
                 assert list(selected) == [p for p in repo.packages if p in selection]
                 for target, result in selected.items():
                     whole = combined[target]
@@ -295,6 +299,7 @@ class TestCheckAll:
                     else:
                         lines = result.explanation.render_lines()
                         assert lines == whole.explanation.render_lines()
+        assert member_witnesses >= 20  # 27 made by the selections' walks
 
     @pytest.mark.parametrize(
         "stanzas, clean",
@@ -335,6 +340,11 @@ class TestCheckAll:
                 {"a", "b"},
                 id="unavoidable-cone-conflict",
             ),
+            pytest.param(
+                ["a=1;Depends: b", "a=2;Depends: b", "b;Depends: a", "p;Depends: a"],
+                {"a", "p"},
+                id="two-versions-in-one-cycle",
+            ),
         ],
     )
     def test_cone_pass_edge_cases(self, stanzas, clean):
@@ -342,7 +352,10 @@ class TestCheckAll:
         `clean` names the packages the witness pass settles.  In
         `conflict-an-alternative-avoids`, `p` picks `a`, the first member of
         `a | b`, which leaves `c` no fit: `p` goes to the solver, which
-        finds it installable."""
+        finds it installable.  In `two-versions-in-one-cycle`, the cycle of
+        `b` and both versions of `a` conflicts within, so it gets no witness;
+        `p` takes the model of a solve of its first choice, `a (= 2)`, which
+        settles that version too, while `a (= 1)` and `b` go to the solver."""
         blocks = []
         for stanza in stanzas:
             head, *fields = stanza.split(";")
@@ -350,8 +363,8 @@ class TestCheckAll:
             blocks.append("\n".join([f"Package: {name}", f"Version: {version or 1}", *fields]))
         repo = repo_from("\n\n".join(blocks) + "\n")
         checker = solver.RepositoryChecker(repo)
-        doomed = checker._engine.never_installable_vars()
-        _, walk = solver._witness_pass(checker.clause_set, doomed, range(1, len(repo.packages) + 1))
+        _, walk = solver._witness_pass(checker.clause_set, checker._engine,
+                                       range(1, len(repo.packages) + 1))
         settled = {v for members, _, _ in walk for v in members}
         assert {checker.clause_set.package_of(v).name for v in settled} == clean
         for target, result in check_all(repo).items():
@@ -386,21 +399,50 @@ def _naive_clean_cones(repo: Repository) -> set[PackageId]:
     return clean
 
 
+def recording_walk_solves(monkeypatch):
+    """Record the verdict of every solve that `RepositoryChecker.query` does
+    not make: the witness pass's solves of members of tangled components.
+    Each satisfiable one yields one member witness."""
+    verdicts, querying = [], []
+    solve, query = solver._Engine.solve, solver.RepositoryChecker.query
+
+    def recording_solve(self, assumptions, core=False):
+        result = solve(self, assumptions, core)
+        if not querying:
+            verdicts.append(result[0])
+        return result
+
+    def marked_query(self, *args, **kwargs):
+        querying.append(True)
+        try:
+            return query(self, *args, **kwargs)
+        finally:
+            querying.pop()
+
+    monkeypatch.setattr(solver._Engine, "solve", recording_solve)
+    monkeypatch.setattr(solver.RepositoryChecker, "query", marked_query)
+    return verdicts
+
+
 class TestWitnessPass:
-    def test_sound_and_settles_every_clean_cone(self):
+    def test_sound_and_settles_every_clean_cone(self, monkeypatch):
         rng = random.Random(11)
+        walk_solves = recording_walk_solves(monkeypatch)
+        member_witnesses = 0
         for _ in range(200):
             repo = random_repository(rng, max_packages=rng.choice([8, 12, 16, 24]))
             checker = solver.RepositoryChecker(repo)
-            doomed = checker._engine.never_installable_vars()
             package_of = checker.clause_set.package_of
-            at, walk = solver._witness_pass(checker.clause_set, doomed, range(1, len(repo.packages) + 1))
+            at, walk = solver._witness_pass(checker.clause_set, checker._engine,
+                                            range(1, len(repo.packages) + 1))
             settled = set()
+            del walk_solves[:]
             for members, cone, _ in walk:
                 witness = frozenset(package_of(at[i]) for i in solver._set_bits(cone))
                 assert {package_of(v) for v in members} <= witness
                 assert check_health(witness, repo).healthy
                 settled.update(package_of(v) for v in members)
+            member_witnesses += walk_solves.count(True)
             results = checker.check_all(explain=False)
             for target in settled:
                 witness = results[target].witness
@@ -409,6 +451,8 @@ class TestWitnessPass:
                 if len(repo.packages) <= 16:  # 24 takes seconds per package
                     assert brute_force_check(repo, frozenset({target}))
             assert _naive_clean_cones(repo) <= settled
+        # 22 member witnesses, from solves of members of tangled components
+        assert member_witnesses >= 20
 
     def test_pairs_agree_with_brute_force(self, monkeypatch):
         """Every answer of `coinstallable_pairs`, settled by fitting
@@ -416,16 +460,18 @@ class TestWitnessPass:
         agree with brute force."""
         rng = random.Random(12)
         queries = counting_queries(monkeypatch)
-        settled = total = 0
+        walk_solves = recording_walk_solves(monkeypatch)
+        settled = total = member_witnesses = 0
         for _ in range(150):
             repo = random_repository(rng, max_packages=12)
             names = sorted({p.name for p in repo.packages})
             newest = {n: next(p for p in repo.packages if p.name == n) for n in names}
             pids = [(newest[x], newest[y]) for x, y in combinations(names, 2)]
             expected = [brute_force_check(repo, frozenset(pair)) for pair in pids]
-            del queries[:]
+            del queries[:], walk_solves[:]
             assert solver.RepositoryChecker(repo).coinstallable_pairs(pids) == expected
             settled += len(pids) - len(queries)
+            member_witnesses += walk_solves.count(True)
             total += len(pids)
             pairs = [ConflictCandidate(pair, ("usr/share/f",)) for pair in combinations(names, 2)]
             outcome = classify_pairs(pairs, repo, [])
@@ -434,8 +480,9 @@ class TestWitnessPass:
                 CandidateStatus.CANDIDATE if together else CandidateStatus.NOT_COINSTALLABLE
                 for together in expected
             ]
-        # 640 of 2297 pairs; the pass's witnesses alone would settle 485
-        assert total == 2297 and settled > 600
+        # 642 of 2297 pairs; the pass's witnesses alone would settle 503,
+        # and 485 without its 9 member witnesses
+        assert total == 2297 and settled > 600 and member_witnesses >= 8
 
     def test_queries_left_to_the_solver(self, sample_3000, monkeypatch):
         """Of the 3000-package sample, only the 95 broken packages and a
@@ -444,8 +491,7 @@ class TestWitnessPass:
         first fit into 28 unions; with the 4 satisfiable queries' own
         witnesses, the 2905 installable results share 32 witness objects."""
         checker = solver.RepositoryChecker(sample_3000)
-        doomed = checker._engine.never_installable_vars()
-        _, walk = solver._witness_pass(checker.clause_set, doomed,
+        _, walk = solver._witness_pass(checker.clause_set, checker._engine,
                                        range(1, len(sample_3000.packages) + 1))
         assert sum(len(members) for members, _, _ in walk) == 2901
         verdicts = counting_queries(monkeypatch)
