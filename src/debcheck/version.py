@@ -27,12 +27,15 @@ class VersionOrdering(enum.Enum):
 def _char_order(c: str) -> int:
     # '~' sorts before end-of-string and digits (both order 0, as in
     # dpkg); letters before punctuation.  As in dpkg, only ASCII
-    # characters are digits or letters; "²" and "é" rank as punctuation.
+    # characters are digits or letters.  `version_cmp` hands non-ASCII
+    # text over as its UTF-8 bytes, one character each (U+0080 to
+    # U+00FF); dpkg reads such a byte as a negative signed char and ranks
+    # it by its value, between letters and punctuation.
     if c == "~":
         return -1
     if "0" <= c <= "9":
         return 0
-    if c.isascii() and c.isalpha():
+    if c.isalpha() or c >= "\x80":
         return ord(c)
     return ord(c) + 256
 
@@ -97,6 +100,10 @@ def version_cmp(v1: str, v2: str) -> int:
         raise ValueError("version strings must be non-empty")
     if v1 == v2:
         return 0
+    if not (v1.isascii() and v2.isascii()):
+        # dpkg compares bytes: one character per byte of the UTF-8 text
+        v1 = v1.encode("utf-8", "surrogatepass").decode("latin-1")
+        v2 = v2.encode("utf-8", "surrogatepass").decode("latin-1")
     e1, u1, r1 = _split(v1)
     e2, u2, r2 = _split(v2)
     if e1 != e2:

@@ -22,6 +22,10 @@ FROZEN_CASES = [
     ("2:1.0", "1:9.9", VersionOrdering.GT),
     ("0-0", "0-a", VersionOrdering.LT),  # a digit ranks 0 against a letter
     ("1.²", "1.a", VersionOrdering.GT),  # only ASCII digits are digits
+    # each UTF-8 byte ranks by its value, between letters and punctuation
+    ("1.²", "1.+", VersionOrdering.LT),
+    ("1.é", "1.+", VersionOrdering.LT),
+    ("1.²", "1.é", VersionOrdering.LT),
 ]
 
 
