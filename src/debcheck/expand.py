@@ -162,24 +162,28 @@ def _expand_ref(
     ref: ConstrainedRef,
     available: dict[str, list[str]],
     provided: frozenset[str],
+    exact: dict[tuple[str, str], ConstrainedRef],
 ) -> tuple[ConstrainedRef, ...]:
     """Expand one reference against the available versions.
 
     Constrained references match real versions only.  A bare reference to
     a provided name keeps its bare form so the virtual pass can resolve
     it; a bare reference to a wholly absent name expands to nothing.  The
-    result never repeats a reference.
+    result never repeats a reference.  `exact` holds the pass's exact
+    references by (name, version), so each is made once.
     """
-    versions = available.get(ref.name, [])
+    name = ref.name
+    versions = available.get(name, [])
     if ref.constrained:
-        return tuple(
-            ConstrainedRef(ref.name, "=", v)
-            for v in versions
-            if satisfies(v, ref.relation, ref.version)
-        )
-    expanded = [ConstrainedRef(ref.name, "=", v) for v in versions]
-    if ref.name in provided:
-        expanded.append(ConstrainedRef(ref.name))
+        versions = [v for v in versions if satisfies(v, ref.relation, ref.version)]
+    expanded = []
+    for v in versions:
+        hit = exact.get((name, v))
+        if hit is None:
+            hit = exact[name, v] = ConstrainedRef(name, "=", v)
+        expanded.append(hit)
+    if not ref.constrained and name in provided:
+        expanded.append(ConstrainedRef(name))
     return tuple(expanded)
 
 
@@ -257,7 +261,8 @@ def expand_version_constraints(stanzas: list[PackageStanza]) -> list[PackageStan
     stanzas = list(stanzas)
     available = _available_versions(stanzas)
     provided = frozenset(name for s in stanzas for name in s.provides)
-    resolved = _Pass(lambda ref: _expand_ref(ref, available, provided))
+    exact: dict[tuple[str, str], ConstrainedRef] = {}
+    resolved = _Pass(lambda ref: _expand_ref(ref, available, provided, exact))
 
     return [resolved.stanza(s, resolved.refs(s.conflicts), s.provides) for s in stanzas]
 

@@ -18,9 +18,10 @@ which clauses they were resolved from, which yields an unsatisfiable
 core without a separate proof pass; a verdict alone tracks none of it.
 Every solve starts from the base state, so a result depends only on the
 repository and the query; a query whose first package the base state
-already rules out is answered from that state's reasons, without search.  A small explanation is shrunk on an engine of
-its own whose edges carry selector literals, so a trial drops an edge by
-leaving its selector out of the assumptions (Eén & Sörensson, SAT 2003).
+already rules out is answered from that state's reasons, without search.
+A small explanation is shrunk on an engine of its own whose edges carry
+selector literals, so a trial drops an edge by leaving its selector out
+of the assumptions (Eén & Sörensson, SAT 2003).
 The model of a trial that keeps its edge is rotated to show other edges
 needed without trials of their own (Marques-Silva & Lynce, "On improving
 MUS extraction algorithms", SAT 2011; Belov & Marques-Silva,
@@ -44,7 +45,11 @@ software component co-installability", ESEC/FSE 2011).  The witnesses
 come from the models of earlier pair queries and from a pass over the
 dependency graph.  The pass searches only where a dependency's choice
 lies in a cycle whose members conflict: it solves that one member,
-once, and the model is the member's own witness too.
+once, and the model is the member's own witness too.  A whole-archive
+check pools the pass's witnesses first fit into unions that no conflict
+pair spans, by the same argument, and the packages a union settles
+share one result; its set of packages is built from the union's bitset
+only when a caller reads it.
 Everything iterates in fixed orders, so verdicts, witnesses, and
 explanations are reproducible run to run.
 """
@@ -54,9 +59,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Collection, Iterable, Iterator
 
 from .expand import (
@@ -446,8 +451,10 @@ class _Engine:
         Returns (True, true variable set) or (False, the base clause ids of
         an unsatisfiable core if `core` is set, else None).  Without a core,
         conflict analysis tracks no derivations, so refuting a package that
-        a deep chain fixes false costs no walk of the chain.  The engine is
-        back in its base state afterwards.
+        a deep chain fixes false costs no walk of the chain, and a conflict
+        reached while every open decision level is an assumption's ends the
+        solve with no analysis: propagation from the assumptions alone
+        refutes them.  The engine is back in its base state afterwards.
 
         A first assumption that the base state already falsifies is
         answered without search, with nothing to undo.
@@ -460,6 +467,8 @@ class _Engine:
                 if conflict is not None:
                     if not self.trail_lim:
                         raise RuntimeError("conflict at level 0; encoding bug")
+                    if not core and len(self.trail_lim) <= len(assumptions):
+                        return False, None
                     lits, backjump, bases = self._analyze(conflict, core)
                     self._backtrack(backjump, self.trail_lim[backjump])
                     conflict = self._assign(lits[0], self._add_learned(lits, bases))
@@ -571,13 +580,71 @@ class Explanation:
         return lines
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    """Verdict of an (co-)installability query."""
+class _PooledWitness:
+    """The witness of a `check_all` union, not built yet: its bitset in
+    `_witness_pass`'s positions, each position's variable `at`, and the
+    repository's `packages`, variable v's at v - 1."""
 
-    installable: bool
-    witness: frozenset[PackageId] | None = None
-    explanation: Explanation | None = None
+    __slots__ = ("bits", "at", "packages")
+
+    def __init__(self, bits: int, at: array, packages: tuple[PackageId, ...]):
+        self.bits, self.at, self.packages = bits, at, packages
+
+    def build(self) -> frozenset[PackageId]:
+        at, packages = self.at, self.packages
+        return frozenset(packages[at[i] - 1] for i in _set_bits(self.bits))
+
+
+class CheckResult:
+    """Verdict of an (co-)installability query: when the packages are
+    installable, `witness` is a healthy installation holding them.
+
+    Immutable, and compared, hashed and shown by (installable, witness,
+    explanation), as a frozen dataclass of those fields would be.  A
+    result that `check_all` pools builds its witness set the first time
+    `witness` is read and keeps it, so every read returns the same set.
+    """
+
+    __slots__ = ("installable", "explanation", "_witness")
+
+    def __init__(self, installable: bool,
+                 witness: frozenset[PackageId] | _PooledWitness | None = None,
+                 explanation: Explanation | None = None):
+        object.__setattr__(self, "installable", installable)
+        object.__setattr__(self, "explanation", explanation)
+        object.__setattr__(self, "_witness", witness)
+
+    @property
+    def witness(self) -> frozenset[PackageId] | None:
+        witness = self._witness
+        if type(witness) is _PooledWitness:
+            witness = witness.build()
+            object.__setattr__(self, "_witness", witness)
+        return witness
+
+    def _fields(self) -> tuple:
+        return self.installable, self.witness, self.explanation
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CheckResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"CheckResult(installable={self.installable!r}, witness={self.witness!r},"
+                f" explanation={self.explanation!r})")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return CheckResult, self._fields()
 
 
 def _render_chains(
@@ -836,8 +903,11 @@ class RepositoryChecker:
         fit, in the pass's order, into unions that no conflict pair spans
         (the same test as the pass's fit), so each union is a healthy
         installation, and every package settled by one shares its
-        `CheckResult`.  Verdicts and explanations, built only when `explain`
-        is set, equal fresh per-package checks whatever the selection.
+        `CheckResult`.  That result keeps the union as a bitset and builds
+        its `witness` set the first time it is read; every later read
+        returns the same set.  Verdicts and explanations, built only when
+        `explain` is set, equal fresh per-package checks whatever the
+        selection.
         """
         selected = range(1, len(self.repo.packages) + 1) if only is None else self._variables(only)
         at, walk = _witness_pass(self.clause_set, self._engine, selected)
@@ -853,12 +923,12 @@ class RepositoryChecker:
                 unions.append((cone, near))
             for v in members:
                 group_of[v] = g
-        package_of = self.clause_set.package_of
-        witnesses = [frozenset(package_of(at[i]) for i in _set_bits(union)) for union, _ in unions]
-        del at, unions
+        packages, package_of = self.clause_set.packages, self.clause_set.package_of
+        shared = [CheckResult(True, witness=_PooledWitness(union, at, packages))
+                  for union, _ in unions]
+        del unions
         if __debug__ and len(self.repo.packages) <= _DEBUG_CHECK_LIMIT:
-            assert all(check_health(w, self.repo).healthy for w in witnesses)
-        shared = [CheckResult(True, witness=w) for w in witnesses]
+            assert all(check_health(result.witness, self.repo).healthy for result in shared)
         results: dict[PackageId, CheckResult] = {}
         for v in selected:
             pid, group = package_of(v), group_of.get(v)
@@ -976,11 +1046,12 @@ def check_all(repo: Repository, explain: bool = True) -> dict[PackageId, CheckRe
 
 
 def _components(
-    successors: Callable[[int], Iterator[int]], n: int, roots: Iterable[int]
+    successors: Callable[[int], Iterable[int]], n: int, roots: Iterable[int]
 ) -> tuple[list[list[int]], list[int]]:
     """Strongly connected components of what `roots` reach through
     `successors`, over vertices below `n`, children first, and each
-    vertex's component index (-1 if unreached).
+    vertex's component index (-1 if unreached).  `successors` is called
+    once for each reached vertex, when the walk first reaches it.
 
     Tarjan's algorithm on an explicit stack, so any depth is fine: `order`
     holds visit numbers, and a visited vertex whose `comp` is still -1 is
@@ -998,7 +1069,7 @@ def _components(
         visits += 1
         order[root] = low[root] = visits
         stack.append(root)
-        work = [(root, successors(root))]
+        work = [(root, iter(successors(root)))]
         while work:
             v, children = work[-1]
             for w in children:
@@ -1006,7 +1077,7 @@ def _components(
                     visits += 1
                     order[w] = low[w] = visits
                     stack.append(w)
-                    work.append((w, successors(w)))
+                    work.append((w, iter(successors(w))))
                     break
                 if comp[w] < 0 and order[w] < low[v]:
                     low[v] = order[w]
@@ -1028,7 +1099,7 @@ def _components(
 
 def _witness_pass(
     clause_set: ClauseSet, engine: _Engine, roots: Iterable[int]
-) -> tuple[list[int], Iterator[tuple[list[int], int, int]]]:
+) -> tuple[array, Iterator[tuple[list[int], int, int]]]:
     """Healthy installations for the packages whose dependencies can be met
     by choices, among those that `roots` reach, found with a solve only for
     members of tangled components (below).
@@ -1038,7 +1109,10 @@ def _witness_pass(
     state: the packages it fixes false are doomed.
 
     A package's successors are the members of its dependency clauses that
-    are not doomed.  Strongly connected components come children first,
+    are not doomed.  Each reached package's list of them is built once,
+    when Tarjan's walk first reaches it, and the last-reader count reads
+    the same list; a package the roots do not reach gets none.  Strongly
+    connected components come children first,
     and bit positions follow that order.  Each conflict pair is recorded at
     its end with the higher position, as the bit of the other end, and
     `near` of a set ORs the records of its members; a pair lies inside a
@@ -1092,11 +1166,15 @@ def _witness_pass(
     clauses, ends = clause_set.clauses, clause_set.ends
     doomed = engine.never_installable_vars()
 
-    def successors(v: int) -> Iterator[int]:
-        return (m for clause in clauses[ends[v - 1]:ends[v]] for m in clause[1:] if m not in doomed)
+    succ: list[list[int] | None] = [None] * (n + 1)  # made as Tarjan first reaches each package
+
+    def successors(v: int) -> list[int]:
+        succ[v] = [m for clause in clauses[ends[v - 1]:ends[v]] for m in clause[1:]
+                   if m not in doomed]
+        return succ[v]
 
     sccs, comp = _components(successors, n + 1, (v for v in roots if v not in doomed))
-    at = [v for members in sccs for v in members]  # bit position -> variable
+    at = array("l", chain.from_iterable(sccs))  # bit position -> variable; results keep it
     pos = [-1] * (n + 1)
     for i, v in enumerate(at):
         pos[v] = i
@@ -1112,7 +1190,7 @@ def _witness_pass(
     last = list(range(len(sccs)))  # the last component to read each witness
     for c, members in enumerate(sccs):
         for v in members:
-            for w in successors(v):
+            for w in succ[v]:
                 last[comp[w]] = c
 
     def walk() -> Iterator[tuple[list[int], int, int]]:

@@ -6,7 +6,8 @@ On the first `Packages` file, every witness that the witness pass yields
 from every package, as `coinstallable_pairs` runs it, must be healthy
 (`check_health`) and hold the packages it is yielded for: component
 witnesses and member witnesses alike.  On the second, so must every
-distinct witness of `check_all`, for every package that shares it.  The
+distinct witness of `check_all`, for every package that shares it, and
+a second read of each result's witness must return the same object.  The
 solver checks its witnesses itself only under `__debug__` and up to
 `_DEBUG_CHECK_LIMIT` packages, which full-size inputs exceed.  Prints
 what it checked and exits 1 at the first witness that fails.
@@ -70,8 +71,11 @@ def check_results(path: str) -> None:
     witnesses = {}
     for pid, result in checker.check_all(explain=False).items():
         if result.installable:
-            sharing.setdefault(id(result.witness), []).append(pid)
-            witnesses[id(result.witness)] = result.witness
+            witness = result.witness
+            if result.witness is not witness:
+                sys.exit(f"{path}: a second read of the witness of {pid} gave another set")
+            sharing.setdefault(id(witness), []).append(pid)
+            witnesses[id(witness)] = witness
     for key, pids in sharing.items():
         check(witnesses[key], set(pids), checker.repo, f"{path}: the witness of {pids[0]}")
     print(f"{path}: {len(witnesses)} distinct check_all witnesses healthy,"

@@ -528,6 +528,28 @@ def test_one_object_per_package():
             assert p is canonical[(p.name, p.version)]
 
 
+def test_one_exact_reference_per_version():
+    """The exact references that one version pass makes are one object
+    per (name, version), whichever input references they resolve."""
+    inputs = frontend_inputs()
+    inputs["ranges"] = stanzas_of(
+        "Package: a\nVersion: 2\n\nPackage: a\nVersion: 1\n\n"
+        "Package: p\nVersion: 1\nDepends: a (>= 1), a (<< 3) | a\nConflicts: a (<= 2)\n"
+    )
+    for key, stanzas in inputs.items():
+        given = {id(ref) for s in stanzas for ref in references(s)}
+        made = [ref for s in expand_version_constraints(stanzas) for ref in references(s)
+                if id(ref) not in given and ref.relation == "="]
+        first: dict[tuple[str, str], ConstrainedRef] = {}
+        for ref in made:
+            assert first.setdefault((ref.name, ref.version), ref) is ref, key
+    assert len(made) == 6 and len(first) == 2  # "ranges": a (= 2) and a (= 1), three times each
+
+
+def references(stanza: PackageStanza) -> list[ConstrainedRef]:
+    return [ref for alt in stanza.depends.conjuncts for ref in alt.refs] + list(stanza.conflicts)
+
+
 _DIGESTS = Path(__file__).with_name("frontend_digests.txt")
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import pickle
 import random
 import re
+from dataclasses import FrozenInstanceError
 from itertools import combinations, product
 from pathlib import Path
 from typing import Iterator
@@ -20,6 +22,7 @@ from debcheck import solver
 from debcheck.contents import CandidateStatus, ConflictCandidate, classify_pairs
 from debcheck.model import check_health, generate_rn
 from debcheck.solver import (
+    CheckResult,
     DependencyEdge,
     Explanation,
     brute_force_check,
@@ -231,16 +234,22 @@ class TestCheckAll:
 
     def test_verdicts_alone_build_no_core(self, monkeypatch):
         """A check without explanations walks no derivations: on a 3000-deep
-        chain fixed false by a missing dependency, and on a short chain that
-        search refutes (`s19` needs `x` or `y`, each needs `z`, and `s19`
-        conflicts with `z`), no `_support` call is made."""
+        chain fixed false by a missing dependency, on a short chain that
+        propagation from its assumption refutes (`s19` needs `x` or `y`,
+        each needs `z`, and `s19` conflicts with `z`), and on `p`, which
+        needs `a1 | a2` and `b1 | b2` where each `a` conflicts with each
+        `b`, no `_support` call is made.  Only `p`'s refutation takes a
+        decision, so only it analyses a conflict, once."""
         depth = 3000
         chain = [f"c{i:04d}" for i in range(depth)]
         short = [f"s{i:02d}" for i in range(20)]
         deps = {a: [[b]] for a, b in zip(chain, chain[1:])} | {chain[-1]: [[]]}
         deps |= {a: [[b]] for a, b in zip(short, short[1:])}
         deps |= {short[-1]: [["x", "y"]], "x": [["z"]], "y": [["z"]]}
-        repo = make_repo(chain + short + ["x", "y", "z"], deps, [(short[-1], "z")])
+        deps |= {"p": [["a1", "a2"], ["b1", "b2"]]}
+        choices = ["a1", "a2", "b1", "b2"]
+        clashes = [(short[-1], "z")] + [(a, b) for a in choices[:2] for b in choices[2:]]
+        repo = make_repo(chain + short + ["x", "y", "z", "p"] + choices, deps, clashes)
         calls = {"_support": 0, "_analyze": 0}
 
         def counting(name):
@@ -256,9 +265,9 @@ class TestCheckAll:
             monkeypatch.setattr(solver._Engine, name, counting(name))
         results = check_all(repo, explain=False)
         assert calls["_support"] == 0
-        assert calls["_analyze"] > 0  # the short chain was refuted by search
+        assert calls["_analyze"] == 1
         broken = {p.name for p, result in results.items() if not result.installable}
-        assert broken == set(chain + short)
+        assert broken == set(chain + short + ["p"])
         assert all(result.explanation is None for result in results.values())
         # explained, the short chain's refutations still build cores
         explained = check_all(make_repo(short + ["x", "y", "z"], deps, [(short[-1], "z")]))
@@ -501,6 +510,81 @@ class TestWitnessPass:
         witnesses = [result.witness for result in results.values() if result.installable]
         assert len(witnesses) == 2905
         assert len({id(witness) for witness in witnesses}) == 32
+
+    def test_pooled_witnesses_are_built_when_read(self, sample_3000, monkeypatch):
+        """Above `_DEBUG_CHECK_LIMIT`, `check_all` builds no witness set.
+        The first read of a pooled result's witness builds it, from the
+        union's bits, and every later read returns that same set."""
+        assert len(sample_3000.packages) > solver._DEBUG_CHECK_LIMIT
+        built = recording_builds(monkeypatch)
+        results = check_all(sample_3000, explain=False)
+        assert not built
+        first = {pid: result.witness for pid, result in results.items() if result.installable}
+        assert len(built) == 28  # one per union
+        assert all(results[pid].witness is witness for pid, witness in first.items())
+        assert len(built) == 28
+        sharing: dict[int, list[PackageId]] = {}
+        for target, witness in first.items():
+            sharing.setdefault(id(witness), []).append(target)
+        for targets in sharing.values():
+            witness = first[targets[0]]
+            assert witness.issuperset(targets)
+            assert check_health(witness, sample_3000).healthy
+
+    @pytest.mark.skipif(not __debug__, reason="the check runs under __debug__ only")
+    def test_debug_check_reads_every_union_witness(self, monkeypatch):
+        """Up to `_DEBUG_CHECK_LIMIT` packages, `check_all` builds every
+        union's witness and checks its health before it returns."""
+        repo = repo_from(_synthetic_distribution(count=300))
+        built = recording_builds(monkeypatch)
+        checked = []
+        health = solver.check_health
+
+        def recording_health(installation, repo):
+            checked.append(installation)
+            return health(installation, repo)
+
+        monkeypatch.setattr(solver, "check_health", recording_health)
+        results = check_all(repo, explain=False)
+        made = len(built)
+        assert made > 1
+        healthy = {id(witness) for witness in checked}
+        assert all(id(r.witness) in healthy for r in results.values() if r.installable)
+        assert len(built) == made  # every union's set was built within the call
+
+
+def recording_builds(monkeypatch) -> list[frozenset[PackageId]]:
+    """Record each witness set that a pooled `check_all` result builds."""
+    built = []
+    build = solver._PooledWitness.build
+
+    def recording_build(self):
+        built.append(build(self))
+        return built[-1]
+
+    monkeypatch.setattr(solver._PooledWitness, "build", recording_build)
+    return built
+
+
+class TestCheckResult:
+    def test_eager_results_compare_hash_and_show_by_their_fields(self):
+        witness = frozenset({pid("a"), pid("b")})
+        result = CheckResult(True, witness=witness)
+        assert result.witness is witness
+        assert result == CheckResult(True, witness=frozenset(witness))
+        assert hash(result) == hash(CheckResult(True, witness=frozenset(witness)))
+        assert result != CheckResult(True) and result != CheckResult(False, witness=witness)
+        assert repr(result) == f"CheckResult(installable=True, witness={witness!r}, explanation=None)"
+        with pytest.raises(FrozenInstanceError):
+            result.installable = False
+        assert pickle.loads(pickle.dumps(result)) == result
+
+    def test_pooled_results_equal_their_eager_forms(self, constraint_sample):
+        for result in check_all(repo_from(constraint_sample), explain=False).values():
+            eager = CheckResult(True, witness=frozenset(result.witness))
+            assert result == eager and hash(result) == hash(eager)
+            assert repr(result) == repr(eager)
+            assert pickle.loads(pickle.dumps(result)) == eager
 
 
 @pytest.fixture(scope="module")
