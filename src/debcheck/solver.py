@@ -19,16 +19,12 @@ core without a separate proof pass; a verdict alone tracks none of it.
 Every solve starts from the base state, so a result depends only on the
 repository and the query; a query whose first package the base state
 already rules out is answered from that state's reasons, without search.
-A small explanation is shrunk on an engine of its own whose edges carry
-selector literals, so a trial drops an edge by leaving its selector out
-of the assumptions (Eén & Sörensson, SAT 2003).
-The model of a trial that keeps its edge is rotated to show other edges
-needed without trials of their own (Marques-Silva & Lynce, "On improving
-MUS extraction algorithms", SAT 2011; Belov & Marques-Silva,
-"Accelerating MUS extraction with recursive model rotation", FMCAD
-2011).  A clause is needed iff dropping it makes the rest satisfiable,
-so some cores are shown minimal with no trial at all: when a
-single-package query's core holds one dependency clause per package
+A small explanation is shrunk greedily on an engine of its own whose
+edges carry selector literals, so a trial drops an edge by leaving its
+selector out of the assumptions (Eén & Sörensson, SAT 2003).  A clause
+is needed iff dropping it makes the rest satisfiable, so some cores are
+shown minimal with no trial at all: when a single-package query's core
+holds one dependency clause per package
 and no conflict, and reaches every clause's package along a path of
 distinct names, installing the path to any package satisfies the core
 without that package's clause, so every clause is kept.  The
@@ -74,8 +70,8 @@ from .expand import (
 from .model import check_health
 
 #: Explanations touching at most this many packages get greedily shrunk;
-#: an edge that model rotation does not settle costs a solve, and a
-#: 3000-deep chain's core has 3000 edges.
+#: each edge of a core that `_minimal_by_paths` does not certify costs a
+#: solve, while a certified chain of any length costs none.
 _SHRINK_LIMIT = 40
 
 #: Hard cap for the exhaustive checker.
@@ -457,10 +453,9 @@ class _Engine:
         refutes them.  The engine is back in its base state afterwards.
 
         A first assumption that the base state already falsifies is
-        answered without search, with nothing to undo.
+        answered by the depth-0 check before any decision, so the cleanup
+        has nothing to undo.
         """
-        if self.value[assumptions[0]] == -1:
-            return False, self._support(assumptions[:1]) if core else None
         try:
             while True:
                 conflict = self._propagate()
@@ -725,7 +720,7 @@ def _shrink_edges(
     clause_set: ClauseSet,
     query_vars: list[int],
     core: list[int],
-    memo: dict[tuple, tuple[int, ...]] | None = None,
+    memo: dict[tuple, tuple[int, ...]],
 ) -> list[int]:
     """Greedily drop the clauses of `core` (ascending ids) in turn while the
     kept ones still rule out the query (ascending variables); returns the
@@ -741,21 +736,12 @@ def _shrink_edges(
     A core that `_minimal_by_paths` certifies is returned as it is, with
     no renumbering and no engine: greedy deletion keeps all of it.
 
-    One engine decides every trial: core clause k gets the selector
-    literal -(n+1+k), and a trial assumes the selectors of the clauses it
-    keeps.  A package that no kept clause mentions occurs only negatively
-    and can stay uninstalled, so each verdict is that on
-    `Explanation.induced_repository`.
-
-    Recursive model rotation skips most trials and keeps the same clauses.
-    The working set W (kept so far and not yet tried) rules the query out.
-    A satisfiable trial for clause k keeps k, and its model falsifies k
-    and no other clause of W.  Flipping one variable of k, never a queried
-    one and never to true beside a true same-name version, satisfies k; if
-    the flipped model then falsifies exactly one clause c of W, W without
-    c is satisfiable, and so is every later working set without c, since
-    those are subsets of W that hold c.  Deletion would keep c, so c is
-    kept untried, and the rotation goes on from the flipped model and c.
+    One engine decides every trial, one per core clause in core order:
+    core clause k gets the selector literal -(n+1+k), and the trial for k
+    assumes the selectors of every other clause not yet dropped.  An
+    unsatisfiable trial drops k.  A package that no kept clause mentions
+    occurs only negatively and can stay uninstalled, so each verdict is
+    that on `Explanation.induced_repository`.
     """
     if _minimal_by_paths(clause_set, query_vars, core):
         return core
@@ -770,8 +756,6 @@ def _shrink_edges(
     names = clause_set.names
     namesakes = tuple(first.setdefault(names[v], i) for i, v in enumerate(variables, 1))
     key = (local, namesakes, tuple(index[v] for v in query_vars))
-    if memo is None:
-        memo = {}
     kept = memo.get(key)
     if kept is None:
         kept = memo[key] = _shrink_local(*key)
@@ -826,41 +810,15 @@ def _shrink_local(
     n = len(namesakes)
     trial = [(*clause, -(n + 1 + k)) for k, clause in enumerate(local)]
     # same-name versions conflict in every trial, as in the induced repository
-    rivals: list[list[int]] = [[] for _ in range(n + 1)]
     for i, j in combinations(range(1, n + 1), 2):
         if namesakes[i - 1] == namesakes[j - 1]:
             trial.append((-i, -j))
-            rivals[i].append(j)
-            rivals[j].append(i)
     engine = _Engine(n + len(local), tuple(trial))
-    holding: dict[int, list[int]] = {}  # literal -> the core edges that hold it
-    for k, clause in enumerate(local):
-        for lit in clause:
-            holding.setdefault(lit, []).append(k)
-    kept = set(range(len(local)))  # the working set: kept so far and not yet tried
-    needed: set[int] = set()
+    kept = list(range(len(local)))
     for k in range(len(local)):
-        if k in needed:
-            continue
-        sat, model = engine.solve([*query, *(n + 1 + j for j in sorted(kept - {k}))])
-        if not sat:
-            kept.discard(k)
-            continue
-        needed.add(k)
-        work = [(k, frozenset(v for v in model if v <= n))]
-        while work:
-            edge, true = work.pop()
-            for lit in local[edge]:
-                v = abs(lit)
-                if v in query or (lit > 0 and any(r in true for r in rivals[v])):
-                    continue
-                flipped = true ^ {v}
-                broken = [c for c in holding.get(-lit, ()) if c in kept and not any(
-                    (l in flipped) if l > 0 else (-l not in flipped) for l in local[c])]
-                if len(broken) == 1 and broken[0] not in needed:
-                    needed.add(broken[0])
-                    work.append((broken[0], flipped))
-    return tuple(sorted(kept))
+        if not engine.solve([*query, *(n + 1 + j for j in kept if j != k)])[0]:
+            kept.remove(k)
+    return tuple(kept)
 
 
 class RepositoryChecker:

@@ -118,15 +118,14 @@ _NOT_IN_NAME = re.compile(r"[\s,:|()]")
 
 
 class _RelationReader:
-    """Reads relation fields.  Equal references, and alternatives of the
-    same references, come back as one shared object each, so the reader
-    of one `parse_packages` call stores each of them once.  It reads each
-    distinct conjunct text (what lies between two commas, without the
-    whitespace around it) once."""
+    """Reads relation fields.  Equal references come back as one shared
+    object, so the reader of one `parse_packages` call stores each of them
+    once.  It reads each distinct conjunct text (what lies between two
+    commas, without the whitespace around it) once, and each gives one
+    shared alternative."""
 
     def __init__(self) -> None:
         self._refs: dict[tuple[str, str | None, str | None], ConstrainedRef] = {}
-        self._alternatives: dict[tuple[int, ...], Alternative] = {}
         self._conjuncts: dict[str, Alternative] = {}
 
     def _ref(self, name: str, relation: str | None, version: str | None) -> ConstrainedRef:
@@ -135,13 +134,6 @@ class _RelationReader:
         if ref is None:
             ref = self._refs[key] = ConstrainedRef(name, relation, version)
         return ref
-
-    def _alternative(self, refs: list[ConstrainedRef]) -> Alternative:
-        key = tuple(map(id, refs))  # each ref is the reader's own object
-        alt = self._alternatives.get(key)
-        if alt is None:
-            alt = self._alternatives[key] = Alternative(tuple(refs))
-        return alt
 
     def relations(self, text: str) -> tuple[Alternative, ...]:
         """Parse a relation field: comma-separated pipe-disjunctions.
@@ -207,7 +199,7 @@ class _RelationReader:
                 if bar is None:
                     bar = pos
             else:
-                conjuncts.append(self._alternative(refs))
+                conjuncts.append(Alternative(tuple(refs)))
                 refs = []
                 if not sep:
                     return tuple(conjuncts), bar

@@ -922,7 +922,7 @@ class TestShrinking:
                 clause_set = encode(repo)
                 every = list(range(len(clause_set.clauses)))
                 assert _edges(clause_set, every) == (tuple(all_deps), tuple(all_pairs))
-                kept = solver._shrink_edges(clause_set, [clause_set.var_of(target)], every)
+                kept = solver._shrink_edges(clause_set, [clause_set.var_of(target)], every, {})
                 assert _edges(clause_set, kept) == _greedy_shrink(
                     core.queried, all_deps, all_pairs
                 )
@@ -961,11 +961,12 @@ class TestShrinking:
                     assert brute_force_check(rest.induced_repository(), frozenset({a, b}))
         assert dropped > 50
 
-    def test_rotation_saves_trials(self, monkeypatch):
-        """A shrink never solves more often than its core has edges, and
-        over random repositories far less often.  A doomed chain whose core
-        names no package twice is certified minimal and costs no solve;
-        shrinking its formula by trials takes a single one."""
+    def test_greedy_trials(self, monkeypatch):
+        """A shrink solves once per core edge, unless `_minimal_by_paths`
+        certifies the core or it mentions more than `_SHRINK_LIMIT`
+        variables, and then not at all; a formula met before costs none.
+        A doomed chain whose core names no package twice is certified and
+        costs no solve; shrinking its formula by trials keeps every edge."""
         solves = []
 
         class Recording(solver._Engine):
@@ -977,38 +978,44 @@ class TestShrinking:
             solves.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "_Engine", Recording)
-                shrink(*args)
-            return len(solves)
+                kept = shrink(*args)
+            return len(solves), kept
 
-        def trials(repo, target):
+        def core_of(repo, target):
             checker = solver.RepositoryChecker(repo)
             query = [checker.clause_set.var_of(target)]
             sat, core = checker._engine.solve(query, core=True)
             assert not sat
-            count = counted(solver._shrink_edges, checker.clause_set, query, sorted(core))
-            return count, core, checker.clause_set, query
+            return checker.clause_set, query, sorted(core)
 
         rng = random.Random(11)
-        edges = spent = 0
+        tried = 0
         for _ in range(200):
             repo = random_repository(rng, max_packages=12)
             for target in repo.packages:
                 if check_installable(repo, target).installable:
                     continue
-                count, core, _, _ = trials(repo, target)
-                assert count <= len(core)
-                edges += len(core)
-                spent += count
-        assert spent < edges * 3 / 4, (spent, edges)
+                clause_set, query, core = core_of(repo, target)
+                memo = {}
+                count, _ = counted(solver._shrink_edges, clause_set, query, core, memo)
+                if (solver._minimal_by_paths(clause_set, query, core)
+                        or _renumbered(clause_set, query, core) is None):
+                    assert count == 0
+                else:
+                    assert count == len(core)
+                    tried += 1
+                assert counted(solver._shrink_edges, clause_set, query, core, memo)[0] == 0
+        assert tried > 100, tried
 
         names = [f"p{i:02d}" for i in range(30)]
         chain = make_repo(names, {a: [[b]] for a, b in zip(names, names[1:])} | {"p29": [[]]}, [])
-        count, core, clause_set, query = trials(chain, pid("p00"))
+        clause_set, query, core = core_of(chain, pid("p00"))
         assert len(core) == 30
         mentioned = {abs(lit) for ci in core for lit in clause_set.clauses[ci]}
         assert len({clause_set.package_of(v).name for v in mentioned}) == len(mentioned)
-        assert count == 0
-        assert counted(solver._shrink_local, *_renumbered(clause_set, query, core)) == 1
+        assert counted(solver._shrink_edges, clause_set, query, core, {}) == (0, core)
+        count, kept = counted(solver._shrink_local, *_renumbered(clause_set, query, core))
+        assert (count, kept) == (30, tuple(range(30)))
 
 
 def shared_tail_family() -> Repository:
@@ -1135,7 +1142,7 @@ class TestMinimalCores:
         assert len(core) == 3
         query = [clause_set.var_of(pid("p"))]
         assert not solver._minimal_by_paths(clause_set, query, core)
-        kept = solver._shrink_edges(clause_set, query, core)
+        kept = solver._shrink_edges(clause_set, query, core, {})
         assert sorted(clause_set.origins[ci].label for ci in kept) == ["x (= 1)", "x (= 2)"]
         # from x (= 2) no name repeats, and its one clause is needed
         gone = [ci for ci in core if clause_set.origins[ci].label == "gone"]
