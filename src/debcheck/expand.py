@@ -21,10 +21,10 @@ pipeline from scratch.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .stanza import (
     Alternative,
@@ -38,9 +38,9 @@ from .version import satisfies, version_cmp, version_sort_key
 VIRTUAL_VERSION = "virtual"
 
 
-@dataclass(frozen=True, order=False, slots=True)
-class PackageId:
-    """A package is identified by its (name, version) pair."""
+class PackageId(NamedTuple):
+    """A package is identified by its (name, version) pair; a record (see
+    the `stanza` module docstring)."""
 
     name: str
     version: str
@@ -74,17 +74,30 @@ def conflict_pair(a: PackageId, b: PackageId) -> tuple[PackageId, PackageId]:
     return (a, b)
 
 
-@dataclass(frozen=True, slots=True)
-class DepClause:
-    """One dependency alternative resolved to concrete packages.
+class DepClause(NamedTuple):
+    """One dependency alternative resolved to concrete packages; a record
+    (see the `stanza` module docstring).
 
     `members` is the set of packages any one of which satisfies the
     alternative; empty means unsatisfiable.  `label` keeps the original
-    field text for reports and does not affect equality.
+    field text for reports and affects neither equality nor hash.
     """
 
     members: frozenset[PackageId]
-    label: str = field(default="", compare=False)
+    label: str = ""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DepClause:
+            return NotImplemented
+        return self[0] == other[0]
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not DepClause:
+            return NotImplemented
+        return self[0] != other[0]
+
+    def __hash__(self) -> int:
+        return hash((self[0],))
 
 
 class RepositoryError(ValueError):
@@ -153,11 +166,6 @@ def _available_versions(stanzas: Iterable[PackageStanza]) -> dict[str, list[str]
     return versions
 
 
-#: A reference as a plain tuple (name, relation, version): memo key that
-#: hashes in C, unlike the dataclass.
-_RefKey = tuple[str, str | None, str | None]
-
-
 def _expand_ref(
     ref: ConstrainedRef,
     available: dict[str, list[str]],
@@ -191,7 +199,7 @@ class _Pass:
     """The memos of one expansion pass over one input.
 
     `rewrite(ref)`, which returns a tuple without repeats, runs once per
-    distinct reference, keyed by a plain tuple so no dataclass hash runs.
+    distinct reference.
     Each input alternative object is rewritten once, so alternatives that
     the input shares (as `parse_packages` makes them) stay shared, and an
     alternative, expression or stanza that a rewrite leaves as it was is
@@ -200,15 +208,14 @@ class _Pass:
 
     def __init__(self, rewrite: Callable[[ConstrainedRef], tuple[ConstrainedRef, ...]]):
         self.rewrite = rewrite
-        self.rewritten: dict[_RefKey, tuple[ConstrainedRef, ...]] = {}
+        self.rewritten: dict[ConstrainedRef, tuple[ConstrainedRef, ...]] = {}
         # keyed by id(): the input holds every alternative for the whole pass
         self.alternatives: dict[int, Alternative] = {}
 
     def _ref(self, ref: ConstrainedRef) -> tuple[ConstrainedRef, ...]:
-        key = (ref.name, ref.relation, ref.version)
-        hit = self.rewritten.get(key)
+        hit = self.rewritten.get(ref)
         if hit is None:
-            hit = self.rewritten[key] = self.rewrite(ref)
+            hit = self.rewritten[ref] = self.rewrite(ref)
         return hit
 
     def refs(self, refs: tuple[ConstrainedRef, ...]) -> tuple[ConstrainedRef, ...]:
@@ -394,18 +401,17 @@ def build_repository(stanzas: list[PackageStanza]) -> Repository:
     for pid in order:
         byname.setdefault(pid.name, []).append(pid)
 
-    resolved: dict[_RefKey, frozenset[PackageId]] = {}
+    resolved: dict[ConstrainedRef, frozenset[PackageId]] = {}
 
     def resolve(ref: ConstrainedRef) -> frozenset[PackageId]:
-        key = (ref.name, ref.relation, ref.version)
-        hit = resolved.get(key)
+        hit = resolved.get(ref)
         if hit is None:
             if ref.constrained:
                 pid = ids.get((ref.name, ref.version))
                 hit = frozenset() if pid is None else frozenset((pid,))
             else:
                 hit = frozenset(byname.get(ref.name, ()))
-            resolved[key] = hit
+            resolved[ref] = hit
         return hit
 
     deps: dict[PackageId, tuple[DepClause, ...]] = {}

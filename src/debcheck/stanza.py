@@ -1,10 +1,20 @@
-"""Parsing of Debian-style ``Packages`` stanzas and relation fields."""
+"""Parsing of Debian-style ``Packages`` stanzas and relation fields.
+
+The parsed values (`ConstrainedRef`, `Alternative`, `DependencyExpression`,
+`PackageStanza`, and `PackageId` and `DepClause` in `expand`) are records:
+immutable named tuples that build, hash and compare in C.  Each is shown
+as a frozen dataclass of its fields would be, and hashes as the tuple of
+the fields its equality reads.  Being tuples, they also iterate, order
+and equal plain tuples of the same values; nothing in debcheck iterates
+a record, sorts records without a key or mixes them with plain tuples in
+one container.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .version import RELATION_TOKENS
 
@@ -24,19 +34,25 @@ class DependencyParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
-class ConstrainedRef:
-    """A package name, optionally constrained to a version range."""
-
+class _ConstrainedRef(NamedTuple):
     name: str
     relation: str | None = None
     version: str | None = None
 
-    def __post_init__(self) -> None:
-        if (self.relation is None) != (self.version is None):
+
+class ConstrainedRef(_ConstrainedRef):
+    """A package name, optionally constrained to a version range; a
+    record (see the module docstring) that refuses a relation without a
+    version, and the reverse, and an unknown relation."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, relation: str | None = None, version: str | None = None):
+        if (relation is None) != (version is None):
             raise ValueError("relation and version must be given together")
-        if self.relation is not None and self.relation not in RELATION_TOKENS:
-            raise ValueError(f"unknown relation {self.relation!r}")
+        if relation is not None and relation not in RELATION_TOKENS:
+            raise ValueError(f"unknown relation {relation!r}")
+        return tuple.__new__(cls, (name, relation, version))
 
     @property
     def constrained(self) -> bool:
@@ -48,17 +64,30 @@ class ConstrainedRef:
         return f"{self.name} ({self.relation} {self.version})"
 
 
-@dataclass(frozen=True, slots=True)
-class Alternative:
+class Alternative(NamedTuple):
     """One comma-separated conjunct: a disjunction of refs.
 
     `origin` carries the pre-expansion field text for rendering and is
-    ignored by equality; `refs` may only be empty after expansion, when no
-    available package matches (an unsatisfiable alternative).
+    ignored by equality and hash; `refs` may only be empty after
+    expansion, when no available package matches (an unsatisfiable
+    alternative).
     """
 
     refs: tuple[ConstrainedRef, ...]
-    origin: str | None = field(default=None, compare=False)
+    origin: str | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Alternative:
+            return NotImplemented
+        return self[0] == other[0]
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not Alternative:
+            return NotImplemented
+        return self[0] != other[0]
+
+    def __hash__(self) -> int:
+        return hash((self[0],))
 
     def render(self) -> str:
         return " | ".join(r.render() for r in self.refs)
@@ -67,8 +96,7 @@ class Alternative:
         return self.origin if self.origin is not None else self.render()
 
 
-@dataclass(frozen=True, slots=True)
-class DependencyExpression:
+class DependencyExpression(NamedTuple):
     """Conjunction of alternatives; an empty conjunct list means no deps."""
 
     conjuncts: tuple[Alternative, ...] = ()
@@ -77,9 +105,9 @@ class DependencyExpression:
         return ", ".join(alt.render() for alt in self.conjuncts)
 
 
-@dataclass(frozen=True, slots=True)
-class PackageStanza:
-    """One parsed package record, before expansion."""
+class PackageStanza(NamedTuple):
+    """One parsed package record, before expansion.  `is_virtual` is
+    ignored by equality and hash."""
 
     name: str
     version: str
@@ -88,7 +116,20 @@ class PackageStanza:
     provides: tuple[str, ...] = ()
     replaces: tuple[str, ...] = ()
     architecture: str | None = None
-    is_virtual: bool = field(default=False, compare=False)
+    is_virtual: bool = False
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PackageStanza:
+            return NotImplemented
+        return self[:7] == other[:7]
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not PackageStanza:
+            return NotImplemented
+        return self[:7] != other[:7]
+
+    def __hash__(self) -> int:
+        return hash(self[:7])
 
 
 @dataclass(frozen=True)

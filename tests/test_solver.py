@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import pickle
 import random
@@ -578,6 +579,15 @@ class TestCheckResult:
         with pytest.raises(FrozenInstanceError):
             result.installable = False
         assert pickle.loads(pickle.dumps(result)) == result
+
+    def test_results_holding_records_survive_pickle_and_deepcopy(self):
+        results = [*check_all(repo_from(CHAIN_SAMPLE)).values(),
+                   *check_all(repo_from(CONSTRAINT_SAMPLE)).values()]
+        assert {result.installable for result in results} == {True, False}
+        for result in results:
+            for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+                assert copied == result and hash(copied) == hash(result)
+                assert repr(copied) == repr(result)
 
     def test_pooled_results_equal_their_eager_forms(self, constraint_sample):
         for result in check_all(repo_from(constraint_sample), explain=False).values():

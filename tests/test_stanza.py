@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import io
+import pickle
 import random
 from pathlib import Path
 
@@ -8,11 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from debcheck.cli import main
+from debcheck.expand import DepClause, PackageId
 from debcheck.stanza import (
     Alternative,
     ConstrainedRef,
     DependencyExpression,
     DependencyParseError,
+    PackageStanza,
     parse_dependency_field,
     parse_packages,
     parse_ref_list,
@@ -458,3 +462,67 @@ def test_cli_reads_every_golden_text_without_a_traceback(tmp_path, capsys):
 
 if __name__ == "__main__":
     _PARSER_DIGESTS.write_text(recorded_parser_digests())
+
+
+# The record contract (see the `debcheck.stanza` module docstring), per
+# record type: an instance, the tuple of the fields its equality reads,
+# and an instance equal to it that differs in an ignored field, if any.
+_REF = ConstrainedRef("a", ">=", "1")
+_ALT = Alternative((_REF, ConstrainedRef("b")), "a (>= 1) | b")
+_DEPENDS = DependencyExpression((_ALT,))
+_PID = PackageId("a", "1")
+RECORDS = {
+    "ConstrainedRef": (_REF, ("a", ">=", "1"), None),
+    "Alternative": (_ALT, (_ALT.refs,), Alternative(_ALT.refs, "other text")),
+    "DependencyExpression": (_DEPENDS, ((_ALT,),), None),
+    "PackageStanza": (
+        PackageStanza("a", "1", _DEPENDS, (ConstrainedRef("c"),), ("v",), ("d",), "amd64"),
+        ("a", "1", _DEPENDS, (ConstrainedRef("c"),), ("v",), ("d",), "amd64"),
+        PackageStanza("a", "1", _DEPENDS, (ConstrainedRef("c"),), ("v",), ("d",), "amd64",
+                      is_virtual=True),
+    ),
+    "PackageId": (_PID, ("a", "1"), None),
+    "DepClause": (
+        DepClause(frozenset({_PID}), "a"),
+        (frozenset({_PID}),),
+        DepClause(frozenset({_PID}), "another label"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+class TestRecords:
+    def test_fields_cannot_be_assigned(self, kind):
+        record = RECORDS[kind][0]
+        for name in (*type(record)._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_hash_is_the_hash_of_the_compared_fields(self, kind):
+        record, compared, _ = RECORDS[kind]
+        assert hash(record) == hash(compared)
+
+    def test_a_compared_field_tells_records_apart(self, kind):
+        record = RECORDS[kind][0]
+        other = record._replace(**{type(record)._fields[0]: RECORDS["PackageId"][0]})
+        assert record != other and not record == other
+
+    def test_pickle_and_deepcopy_keep_type_fields_and_repr(self, kind):
+        record = RECORDS[kind][0]
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(copied) is type(record)
+            assert copied == record and repr(copied) == repr(record)
+
+
+@pytest.mark.parametrize("kind", [kind for kind, (*_, twin) in RECORDS.items() if twin])
+def test_equality_ignores_the_ignored_field(kind):
+    record, _, twin = RECORDS[kind]
+    assert tuple(twin) != tuple(record)
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin)
+
+
+@pytest.mark.parametrize("args", [("a", ">="), ("a", None, "1"), ("a", "~", "1")])
+def test_a_reference_refuses_a_half_or_unknown_constraint(args):
+    with pytest.raises(ValueError):
+        ConstrainedRef(*args)
