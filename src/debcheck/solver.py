@@ -907,16 +907,20 @@ class RepositoryChecker:
 
         Witnesses are (cone, near) bitsets in `_witness_pass`'s positions,
         from the pass (its member witnesses included) or from a query's
-        model.  `_model_witness` turns each model into bitsets whose `near`
-        holds every conflict partner of its members, so the fit test stays
-        exact for any mix of witnesses; a doomed partner has no position,
-        and no witness holds it.
+        model.  The pass starts from the asked packages alone, as
+        `check_all(only=...)` does: a pair query's model lies in the cone
+        of its two packages, as a member witness lies in its member's, so
+        every package of a model has a position.  `_model_witness` turns
+        each model into bitsets whose `near` holds every conflict partner
+        of its members that has a position, so the fit test stays exact
+        for any mix of witnesses: a partner without one lies outside every
+        witness.
         """
         clause_set = self.clause_set
         index, package_of = clause_set.index, clause_set.package_of
         asked = {index[p] for pair in pairs for p in pair}
         engine = self._engine
-        at, walk = _witness_pass(clause_set, engine, range(1, len(clause_set.packages) + 1))
+        at, walk = _witness_pass(clause_set, engine, sorted(asked))
         witness_of = {v: (cone, near) for members, cone, near in walk for v in members if v in asked}
         pos = [-1] * (len(clause_set.packages) + 1)
         for i, v in enumerate(at):
