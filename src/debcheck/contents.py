@@ -70,7 +70,7 @@ def parse_contents(source: str | bytes | IO | Iterable[str]) -> ContentsParseRes
             start = i + 1
             break
 
-    entries: dict[str, set[str]] = {}
+    entries: dict[str, frozenset[str]] = {}
     warnings: list[str] = []
     for number, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
@@ -86,18 +86,20 @@ def parse_contents(source: str | bytes | IO | Iterable[str]) -> ContentsParseRes
         if not names:
             warnings.append(f"line {number}: empty package list")
             continue
-        entries.setdefault(path, set()).update(names)
+        known = entries.get(path)
+        entries[path] = names if known is None else known | names
 
-    index = ContentsIndex({path: frozenset(names) for path, names in entries.items()})
-    return ContentsParseResult(index, warnings)
+    return ContentsParseResult(ContentsIndex(entries), warnings)
 
 
 def shared_file_pairs(index: ContentsIndex) -> list[ConflictCandidate]:
     """All unordered name pairs co-owning at least one path, sorted, each
-    with its paths in sorted order (the walk over the paths is sorted)."""
+    with its paths in sorted order (the walk over the shared paths is
+    sorted)."""
+    entries = index.entries
     paths_by_pair: dict[tuple[str, str], list[str]] = {}
-    for path in sorted(index.entries):
-        owners = sorted(index.entries[path])
+    for path in sorted(path for path, owners in entries.items() if len(owners) > 1):
+        owners = sorted(entries[path])
         for i, a in enumerate(owners):
             for b in owners[i + 1:]:
                 paths_by_pair.setdefault((a, b), []).append(path)
