@@ -199,11 +199,10 @@ class _Pass:
     """The memos of one expansion pass over one input.
 
     `rewrite(ref)`, which returns a tuple without repeats, runs once per
-    distinct reference.
-    Each input alternative object is rewritten once, so alternatives that
-    the input shares (as `parse_packages` makes them) stay shared, and an
-    alternative, expression or stanza that a rewrite leaves as it was is
-    kept as the same object.
+    distinct reference.  Each input alternative object is rewritten once,
+    so alternatives that the input shares (as `parse_packages` makes
+    them) stay shared, and an alternative, expression or stanza that a
+    rewrite leaves as it was is kept as the same object.
     """
 
     def __init__(self, rewrite: Callable[[ConstrainedRef], tuple[ConstrainedRef, ...]]):

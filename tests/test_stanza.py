@@ -504,7 +504,7 @@ class TestRecords:
 
     def test_a_compared_field_tells_records_apart(self, kind):
         record = RECORDS[kind][0]
-        other = record._replace(**{type(record)._fields[0]: RECORDS["PackageId"][0]})
+        other = record._replace(**{type(record)._fields[0]: "other"})
         assert record != other and not record == other
 
     def test_pickle_and_deepcopy_keep_type_fields_and_repr(self, kind):
